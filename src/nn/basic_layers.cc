@@ -1,7 +1,9 @@
 #include "nn/basic_layers.hh"
 
+#include <algorithm>
 #include <cmath>
 
+#include "common/parallel.hh"
 #include "winograd/microkernel.hh"
 
 namespace winomc::nn {
@@ -38,45 +40,76 @@ MaxPool2::forward(const Tensor &x, bool train)
     Tensor y(x.n(), x.c(), oh, ow);
     if (train)
         argmax = Tensor(x.n(), x.c(), oh, ow);
-    for (int b = 0; b < x.n(); ++b) {
-        for (int c = 0; c < x.c(); ++c) {
+    const int w = x.w();
+    const size_t inPlane = size_t(x.h()) * w;
+    const size_t outPlane = size_t(oh) * ow;
+    const float *xp = x.data();
+    float *yp = y.data();
+    float *ap = train ? argmax.data() : nullptr;
+
+    // (b, c) planes are independent; each task owns whole planes.
+    parallelFor(0, std::int64_t(x.n()) * x.c(), 1,
+                [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t bc = lo; bc < hi; ++bc) {
+            const float *plane = xp + size_t(bc) * inPlane;
+            float *yplane = yp + size_t(bc) * outPlane;
+            float *aplane = ap ? ap + size_t(bc) * outPlane : nullptr;
             for (int i = 0; i < oh; ++i) {
+                const float *r0 = plane + size_t(2 * i) * w;
+                const float *r1 = r0 + w;
                 for (int j = 0; j < ow; ++j) {
-                    float best = x.at(b, c, 2 * i, 2 * j);
+                    // Window order k = 0..3 is (0,0), (0,1), (1,0),
+                    // (1,1); ties keep the first maximum.
+                    const float v[4] = {r0[2 * j], r0[2 * j + 1],
+                                        r1[2 * j], r1[2 * j + 1]};
+                    float best = v[0];
                     int arg = 0;
                     for (int k = 1; k < 4; ++k) {
-                        float v = x.at(b, c, 2 * i + k / 2,
-                                       2 * j + k % 2);
-                        if (v > best) {
-                            best = v;
+                        if (v[k] > best) {
+                            best = v[k];
                             arg = k;
                         }
                     }
-                    y.at(b, c, i, j) = best;
-                    if (train)
-                        argmax.at(b, c, i, j) = float(arg);
+                    yplane[size_t(i) * ow + j] = best;
+                    if (aplane)
+                        aplane[size_t(i) * ow + j] = float(arg);
                 }
             }
         }
-    }
+    });
     return y;
 }
 
 Tensor
 MaxPool2::backward(const Tensor &dy)
 {
+    winomc_assert(dy.sameShape(argmax), "maxpool2 backward shape");
     Tensor dx(dy.n(), dy.c(), inH, inW);
-    for (int b = 0; b < dy.n(); ++b) {
-        for (int c = 0; c < dy.c(); ++c) {
-            for (int i = 0; i < dy.h(); ++i) {
-                for (int j = 0; j < dy.w(); ++j) {
-                    int k = int(argmax.at(b, c, i, j));
-                    dx.at(b, c, 2 * i + k / 2, 2 * j + k % 2) +=
-                        dy.at(b, c, i, j);
+    const int oh = dy.h(), ow = dy.w();
+    const size_t inPlane = size_t(inH) * inW;
+    const size_t outPlane = size_t(oh) * ow;
+    const float *gp = dy.data();
+    const float *ap = argmax.data();
+    float *dxp = dx.data();
+
+    // Windows never overlap, so each dx element takes at most one add.
+    // It stays an add onto the zeroed dx rather than a store: that
+    // turns a -0.0 gradient into +0.0.
+    parallelFor(0, std::int64_t(dy.n()) * dy.c(), 1,
+                [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t bc = lo; bc < hi; ++bc) {
+            const float *gplane = gp + size_t(bc) * outPlane;
+            const float *aplane = ap + size_t(bc) * outPlane;
+            float *dxplane = dxp + size_t(bc) * inPlane;
+            for (int i = 0; i < oh; ++i) {
+                for (int j = 0; j < ow; ++j) {
+                    const int k = int(aplane[size_t(i) * ow + j]);
+                    dxplane[size_t(2 * i + k / 2) * inW + 2 * j + k % 2] +=
+                        gplane[size_t(i) * ow + j];
                 }
             }
         }
-    }
+    });
     return dx;
 }
 
@@ -109,16 +142,24 @@ Tensor
 AvgPool2::backward(const Tensor &dy)
 {
     Tensor dx(dy.n(), dy.c(), inH, inW);
-    for (int b = 0; b < dy.n(); ++b)
-        for (int c = 0; c < dy.c(); ++c)
-            for (int i = 0; i < dy.h(); ++i)
-                for (int j = 0; j < dy.w(); ++j) {
-                    float g = 0.25f * dy.at(b, c, i, j);
-                    dx.at(b, c, 2 * i, 2 * j) = g;
-                    dx.at(b, c, 2 * i, 2 * j + 1) = g;
-                    dx.at(b, c, 2 * i + 1, 2 * j) = g;
-                    dx.at(b, c, 2 * i + 1, 2 * j + 1) = g;
-                }
+    const int oh = dy.h(), ow = dy.w();
+    const float *gp = dy.data();
+    float *dxp = dx.data();
+    for (std::int64_t bc = 0; bc < std::int64_t(dy.n()) * dy.c(); ++bc) {
+        const float *gplane = gp + size_t(bc) * oh * ow;
+        float *dxplane = dxp + size_t(bc) * inH * inW;
+        for (int i = 0; i < oh; ++i) {
+            float *r0 = dxplane + size_t(2 * i) * inW;
+            float *r1 = r0 + inW;
+            for (int j = 0; j < ow; ++j) {
+                const float g = 0.25f * gplane[size_t(i) * ow + j];
+                r0[2 * j] = g;
+                r0[2 * j + 1] = g;
+                r1[2 * j] = g;
+                r1[2 * j + 1] = g;
+            }
+        }
+    }
     return dx;
 }
 
@@ -147,11 +188,11 @@ GlobalAvgPool::backward(const Tensor &dy)
 {
     Tensor dx(dy.n(), dy.c(), inH, inW);
     const float scale = 1.0f / float(inH * inW);
-    for (int b = 0; b < dy.n(); ++b)
-        for (int c = 0; c < dy.c(); ++c)
-            for (int i = 0; i < inH; ++i)
-                for (int j = 0; j < inW; ++j)
-                    dx.at(b, c, i, j) = dy.at(b, c, 0, 0) * scale;
+    const size_t plane = size_t(inH) * inW;
+    const float *gp = dy.data();
+    float *dxp = dx.data();
+    for (size_t bc = 0; bc < size_t(dy.n()) * dy.c(); ++bc)
+        std::fill_n(dxp + bc * plane, plane, gp[bc] * scale);
     return dx;
 }
 
@@ -172,24 +213,26 @@ Dense::forward(const Tensor &x, bool train)
     xc = x.c();
     xh = x.h();
     xw = x.w();
-    Tensor flat(x.n(), 1, 1, inF);
-    for (int n = 0; n < x.n(); ++n) {
-        int f = 0;
-        for (int c = 0; c < x.c(); ++c)
-            for (int i = 0; i < x.h(); ++i)
-                for (int j = 0; j < x.w(); ++j)
-                    flat.at(n, 0, 0, f++) = x.at(n, c, i, j);
+    // NCHW already stores each sample's (c, i, j) features contiguously
+    // in flatten order, so x is read as the (n, inF) matrix directly.
+    if (train) {
+        cachedX.reshape(x.n(), 1, 1, inF);
+        std::copy_n(x.data(), x.size(), cachedX.data());
     }
-    if (train)
-        cachedX = flat;
 
     Tensor y(x.n(), 1, 1, outF);
+    const float *xp = x.data();
+    const float *wp = w.data();
+    const float *bp = b.data();
+    float *yp = y.data();
     for (int n = 0; n < x.n(); ++n) {
+        const float *xrow = xp + size_t(n) * inF;
         for (int o = 0; o < outF; ++o) {
-            double acc = b.at(0, 0, 0, o);
+            const float *wrow = wp + size_t(o) * inF;
+            double acc = bp[o];
             for (int f = 0; f < inF; ++f)
-                acc += double(w.at(0, 0, o, f)) * flat.at(n, 0, 0, f);
-            y.at(n, 0, 0, o) = float(acc);
+                acc += double(wrow[f]) * xrow[f];
+            yp[size_t(n) * outF + o] = float(acc);
         }
     }
     return y;
@@ -199,27 +242,32 @@ Tensor
 Dense::backward(const Tensor &dy)
 {
     const int B = dy.n();
+    winomc_assert(dy.c() * dy.h() * dy.w() == outF && cachedX.n() == B,
+                  "Dense backward shape mismatch");
+    const float *gp = dy.data();
+    const float *xp = cachedX.data();
+    const float *wp = w.data();
+    float *dwp = dw.data();
+    float *dbp = db.data();
     for (int n = 0; n < B; ++n) {
+        const float *xrow = xp + size_t(n) * inF;
         for (int o = 0; o < outF; ++o) {
-            float g = dy.at(n, 0, 0, o);
-            db.at(0, 0, 0, o) += g;
+            const float g = gp[size_t(n) * outF + o];
+            dbp[o] += g;
+            float *dwrow = dwp + size_t(o) * inF;
             for (int f = 0; f < inF; ++f)
-                dw.at(0, 0, o, f) += g * cachedX.at(n, 0, 0, f);
+                dwrow[f] += g * xrow[f];
         }
     }
     Tensor dx(B, xc, xh, xw);
+    float *dxp = dx.data();
     for (int n = 0; n < B; ++n) {
-        int f = 0;
-        for (int c = 0; c < xc; ++c) {
-            for (int i = 0; i < xh; ++i) {
-                for (int j = 0; j < xw; ++j) {
-                    double acc = 0.0;
-                    for (int o = 0; o < outF; ++o)
-                        acc += double(w.at(0, 0, o, f)) * dy.at(n, 0, 0, o);
-                    dx.at(n, c, i, j) = float(acc);
-                    ++f;
-                }
-            }
+        const float *grow = gp + size_t(n) * outF;
+        for (int f = 0; f < inF; ++f) {
+            double acc = 0.0;
+            for (int o = 0; o < outF; ++o)
+                acc += double(wp[size_t(o) * inF + f]) * grow[o];
+            dxp[size_t(n) * inF + f] = float(acc);
         }
     }
     return dx;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/parallel.hh"
 #include "winograd/microkernel.hh"
 
 namespace winomc::nn {
@@ -28,49 +29,61 @@ BatchNorm2d::forward(const Tensor &x, bool train)
     Tensor y(x.n(), x.c(), x.h(), x.w());
     if (train)
         xhat = Tensor(x.n(), x.c(), x.h(), x.w());
+    const int nb = x.n();
+    const size_t plane = size_t(x.h()) * x.w();
+    const size_t batchStride = size_t(channels) * plane;
+    const float *xp = x.data();
+    float *yp = y.data();
+    float *hp = train ? xhat.data() : nullptr;
 
-    for (int c = 0; c < channels; ++c) {
-        float mean, inv_std;
-        if (train) {
-            double sum = 0.0, sum2 = 0.0;
-            for (int b = 0; b < x.n(); ++b)
-                for (int i = 0; i < x.h(); ++i)
-                    for (int j = 0; j < x.w(); ++j) {
-                        double v = x.at(b, c, i, j);
+    // Channels are independent: each task owns whole channels, so every
+    // per-channel reduction keeps its serial (b, i, j) order and the
+    // result is the same for any thread count.
+    parallelFor(0, channels, 1, [&](std::int64_t lo, std::int64_t hi) {
+        for (int c = int(lo); c < int(hi); ++c) {
+            const size_t off = size_t(c) * plane;
+            float mean, inv_std;
+            if (train) {
+                double sum = 0.0, sum2 = 0.0;
+                for (int b = 0; b < nb; ++b) {
+                    const float *xc = xp + size_t(b) * batchStride + off;
+                    for (size_t k = 0; k < plane; ++k) {
+                        double v = xc[k];
                         sum += v;
                         sum2 += v * v;
                     }
-            mean = float(sum / count);
-            float var = float(sum2 / count) - mean * mean;
-            var = std::max(var, 0.0f);
-            inv_std = 1.0f / std::sqrt(var + eps);
+                }
+                mean = float(sum / count);
+                float var = float(sum2 / count) - mean * mean;
+                var = std::max(var, 0.0f);
+                inv_std = 1.0f / std::sqrt(var + eps);
 
-            running_mean[size_t(c)] =
-                (1.0f - statMomentum) * running_mean[size_t(c)] +
-                statMomentum * mean;
-            running_var[size_t(c)] =
-                (1.0f - statMomentum) * running_var[size_t(c)] +
-                statMomentum * var;
-            batch_mean[size_t(c)] = mean;
-            batch_inv_std[size_t(c)] = inv_std;
-        } else {
-            mean = running_mean[size_t(c)];
-            inv_std = 1.0f /
-                      std::sqrt(running_var[size_t(c)] + eps);
-        }
+                running_mean[size_t(c)] =
+                    (1.0f - statMomentum) * running_mean[size_t(c)] +
+                    statMomentum * mean;
+                running_var[size_t(c)] =
+                    (1.0f - statMomentum) * running_var[size_t(c)] +
+                    statMomentum * var;
+                batch_mean[size_t(c)] = mean;
+                batch_inv_std[size_t(c)] = inv_std;
+            } else {
+                mean = running_mean[size_t(c)];
+                inv_std = 1.0f / std::sqrt(running_var[size_t(c)] + eps);
+            }
 
-        for (int b = 0; b < x.n(); ++b) {
-            for (int i = 0; i < x.h(); ++i) {
-                for (int j = 0; j < x.w(); ++j) {
-                    float xn = (x.at(b, c, i, j) - mean) * inv_std;
-                    if (train)
-                        xhat.at(b, c, i, j) = xn;
-                    y.at(b, c, i, j) =
-                        gamma_[size_t(c)] * xn + beta_[size_t(c)];
+            const float g = gamma_[size_t(c)];
+            const float bt = beta_[size_t(c)];
+            for (int b = 0; b < nb; ++b) {
+                const size_t base = size_t(b) * batchStride + off;
+                for (size_t k = 0; k < plane; ++k) {
+                    float xn = (xp[base + k] - mean) * inv_std;
+                    if (hp)
+                        hp[base + k] = xn;
+                    yp[base + k] = g * xn + bt;
                 }
             }
         }
-    }
+    });
     return y;
 }
 
@@ -81,33 +94,44 @@ BatchNorm2d::backward(const Tensor &dy)
     haveGrad = true;
     const int count = dy.n() * dy.h() * dy.w();
     Tensor dx(dy.n(), dy.c(), dy.h(), dy.w());
+    const int nb = dy.n();
+    const size_t plane = size_t(dy.h()) * dy.w();
+    const size_t batchStride = size_t(channels) * plane;
+    const float *gp = dy.data();
+    const float *hp = xhat.data();
+    float *dxp = dx.data();
 
-    for (int c = 0; c < channels; ++c) {
-        // dgamma = sum dy * xhat; dbeta = sum dy.
-        double sum_dy = 0.0, sum_dy_xhat = 0.0;
-        for (int b = 0; b < dy.n(); ++b)
-            for (int i = 0; i < dy.h(); ++i)
-                for (int j = 0; j < dy.w(); ++j) {
-                    double g = dy.at(b, c, i, j);
+    parallelFor(0, channels, 1, [&](std::int64_t lo, std::int64_t hi) {
+        for (int c = int(lo); c < int(hi); ++c) {
+            const size_t off = size_t(c) * plane;
+            // dgamma = sum dy * xhat; dbeta = sum dy.
+            double sum_dy = 0.0, sum_dy_xhat = 0.0;
+            for (int b = 0; b < nb; ++b) {
+                const size_t base = size_t(b) * batchStride + off;
+                for (size_t k = 0; k < plane; ++k) {
+                    double g = gp[base + k];
                     sum_dy += g;
-                    sum_dy_xhat += g * xhat.at(b, c, i, j);
+                    sum_dy_xhat += g * hp[base + k];
                 }
-        dgamma[size_t(c)] += float(sum_dy_xhat);
-        dbeta[size_t(c)] += float(sum_dy);
+            }
+            dgamma[size_t(c)] += float(sum_dy_xhat);
+            dbeta[size_t(c)] += float(sum_dy);
 
-        // dx = gamma * inv_std / N *
-        //      (N dy - sum dy - xhat * sum(dy * xhat)).
-        const float scale = gamma_[size_t(c)] *
-                            batch_inv_std[size_t(c)] / float(count);
-        for (int b = 0; b < dy.n(); ++b)
-            for (int i = 0; i < dy.h(); ++i)
-                for (int j = 0; j < dy.w(); ++j)
-                    dx.at(b, c, i, j) =
-                        scale * (float(count) * dy.at(b, c, i, j) -
-                                 float(sum_dy) -
-                                 xhat.at(b, c, i, j) *
-                                     float(sum_dy_xhat));
-    }
+            // dx = gamma * inv_std / N *
+            //      (N dy - sum dy - xhat * sum(dy * xhat)).
+            const float scale = gamma_[size_t(c)] *
+                                batch_inv_std[size_t(c)] / float(count);
+            const float fcount = float(count);
+            const float fsum = float(sum_dy);
+            const float fsumx = float(sum_dy_xhat);
+            for (int b = 0; b < nb; ++b) {
+                const size_t base = size_t(b) * batchStride + off;
+                for (size_t k = 0; k < plane; ++k)
+                    dxp[base + k] = scale * (fcount * gp[base + k] - fsum -
+                                             hp[base + k] * fsumx);
+            }
+        }
+    });
     return dx;
 }
 

@@ -30,6 +30,9 @@ class BatchNorm2d : public Module
     float runningVar(int c) const { return running_var[size_t(c)]; }
     float gamma(int c) const { return gamma_[size_t(c)]; }
     float beta(int c) const { return beta_[size_t(c)]; }
+    /** Accumulated gradients since the last step(). */
+    float gammaGrad(int c) const { return dgamma[size_t(c)]; }
+    float betaGrad(int c) const { return dbeta[size_t(c)]; }
 
   private:
     int channels;

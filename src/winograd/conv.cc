@@ -40,24 +40,21 @@ using SoaPanel =
 
 /**
  * out (a x b) = L (a x n) * in (n x k) * R (k x b), all small dense,
- * double precision. Buffers are caller-provided flat arrays. Still
- * used by the per-(j,i) weight transforms, whose tiny extent does not
- * amortize a tile panel.
+ * row-major, double precision. Buffers are caller-provided flat
+ * arrays. Still used by the per-(j,i) weight transforms, whose tiny
+ * extent does not amortize a tile panel.
  */
 void
-sandwich(const Matrix &L, const double *in, int n, int k, const Matrix &R,
-         double *out)
+sandwich(const double *L, int a, int n, const double *in, int k,
+         const double *R, int b, double *out)
 {
-    winomc_assert(L.cols() == n && R.rows() == k, "sandwich shape");
-    const int a = L.rows();
-    const int b = R.cols();
     std::array<double, kMaxAlpha * kMaxAlpha> tmp{};
     // tmp = L * in (a x k)
     for (int i = 0; i < a; ++i) {
         for (int j = 0; j < k; ++j) {
             double acc = 0.0;
             for (int t = 0; t < n; ++t)
-                acc += L.at(i, t) * in[t * k + j];
+                acc += L[i * n + t] * in[t * k + j];
             tmp[size_t(i * k + j)] = acc;
         }
     }
@@ -66,7 +63,7 @@ sandwich(const Matrix &L, const double *in, int n, int k, const Matrix &R,
         for (int j = 0; j < b; ++j) {
             double acc = 0.0;
             for (int t = 0; t < k; ++t)
-                acc += tmp[size_t(i * k + t)] * R.at(t, j);
+                acc += tmp[size_t(i * k + t)] * R[t * b + j];
             out[i * b + j] = acc;
         }
     }
@@ -252,21 +249,34 @@ transformWeightsInto(const Tensor &w, const WinogradAlgo &algo,
                   "transformWeightsInto destination shape mismatch");
     const int a = algo.alpha;
     const int r = algo.r;
+    winomc_assert(a <= kMaxAlpha, "alpha too large");
+    const int nj = w.n();
     const int ni = w.c();
+    // Local copies of G (a x r) and G^T (r x a): the per-filter
+    // sandwich then indexes plain arrays instead of the bounds-checked
+    // Matrix accessor.
+    std::array<double, kMaxAlpha * kMaxAlpha> g{}, gt{};
+    std::copy_n(algo.G.data(), a * r, g.begin());
+    std::copy_n(algo.GT.data(), r * a, gt.begin());
+    const float *wbase = w.data();
+    float *obase = out.raw();
+    const size_t uvStr = size_t(nj) * ni;
 
-    parallelFor(0, std::int64_t(w.n()) * ni, 1,
+    parallelFor(0, std::int64_t(nj) * ni, 1,
                 [&](std::int64_t lo, std::int64_t hi) {
         std::array<double, kMaxAlpha * kMaxAlpha> ker{};
         std::array<double, kMaxAlpha * kMaxAlpha> tw{};
         for (std::int64_t ji = lo; ji < hi; ++ji) {
-            const int j = int(ji / ni);
-            const int i = int(ji % ni);
-            for (int y = 0; y < r; ++y)
-                for (int x = 0; x < r; ++x)
-                    ker[size_t(y * r + x)] = double(w.at(j, i, y, x));
-            sandwich(algo.G, ker.data(), r, r, algo.GT, tw.data());
+            // (J, I, r, r) filters are contiguous in ji order, and the
+            // (uv, j, i) Winograd layout puts ji at offset ji per uv.
+            const float *ker0 = wbase + size_t(ji) * r * r;
+            for (int e = 0; e < r * r; ++e)
+                ker[size_t(e)] = double(ker0[e]);
+            sandwich(g.data(), a, r, ker.data(), r, gt.data(), a,
+                     tw.data());
             for (int uv = 0; uv < a * a; ++uv)
-                out.at(uv, j, i) = float(tw[size_t(uv)]);
+                obase[size_t(uv) * uvStr + size_t(ji)] =
+                    float(tw[size_t(uv)]);
         }
     });
 }
@@ -286,25 +296,33 @@ transformWeightsAdjointInto(const WinoWeights &dW,
     WINOMC_SPAN("wino.xform.weights_adjoint", "wino");
     const int a = algo.alpha;
     const int r = algo.r;
+    winomc_assert(a <= kMaxAlpha, "alpha too large");
     winomc_assert(dw.n() == dW.outChannels() &&
                   dw.c() == dW.inChannels() && dw.h() == r && dw.w() == r,
                   "transformWeightsAdjointInto destination shape mismatch");
+    const int nj = dW.outChannels();
     const int ni = dW.inChannels();
+    std::array<double, kMaxAlpha * kMaxAlpha> g{}, gt{};
+    std::copy_n(algo.G.data(), a * r, g.begin());
+    std::copy_n(algo.GT.data(), r * a, gt.begin());
+    const float *gbase = dW.raw();
+    float *dwbase = dw.data();
+    const size_t uvStr = size_t(nj) * ni;
 
-    parallelFor(0, std::int64_t(dW.outChannels()) * ni, 1,
+    parallelFor(0, std::int64_t(nj) * ni, 1,
                 [&](std::int64_t lo, std::int64_t hi) {
         std::array<double, kMaxAlpha * kMaxAlpha> tile{};
         std::array<double, kMaxAlpha * kMaxAlpha> sp{};
         for (std::int64_t ji = lo; ji < hi; ++ji) {
-            const int j = int(ji / ni);
-            const int i = int(ji % ni);
             for (int uv = 0; uv < a * a; ++uv)
-                tile[size_t(uv)] = double(dW.at(uv, j, i));
+                tile[size_t(uv)] =
+                    double(gbase[size_t(uv) * uvStr + size_t(ji)]);
             // Adjoint of W = G w G^T is dw = G^T dW G.
-            sandwich(algo.GT, tile.data(), a, a, algo.G, sp.data());
-            for (int y = 0; y < r; ++y)
-                for (int x = 0; x < r; ++x)
-                    dw.at(j, i, y, x) = float(sp[size_t(y * r + x)]);
+            sandwich(gt.data(), r, a, tile.data(), a, g.data(), r,
+                     sp.data());
+            float *ker0 = dwbase + size_t(ji) * r * r;
+            for (int e = 0; e < r * r; ++e)
+                ker0[e] = float(sp[size_t(e)]);
         }
     });
 }
@@ -1509,65 +1527,10 @@ winogradGradWeights(const Tensor &x, const Tensor &dy,
 Tensor
 directConvForward(const Tensor &x, const Tensor &w)
 {
-    WINOMC_SPAN("direct.fwd", "wino");
-    winomc_assert(x.c() == w.c(), "channel mismatch in direct conv");
     winomc_assert(w.h() == w.w() && w.h() % 2 == 1,
                   "direct conv expects odd square filters");
-    const int r = w.h();
-    const int pad = (r - 1) / 2;
-    Tensor y(x.n(), w.n(), x.h(), x.w());
-    const int nj = w.n();
-    const int nc = x.c();
-    const int hh = x.h();
-    const int ww = x.w();
-    const auto &K = mk::kernels();
-    const float *xbase = x.data();
-    float *ybase = y.data();
-    StageTimer probe("direct.fwd", 2.0 * x.n() * double(nj) * nc * r * r *
-                                       double(hh) * ww);
-
-    parallelFor(0, std::int64_t(x.n()) * nj, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        // One double-precision accumulator row per task, swept along
-        // the unit-stride ox axis by the rowAccumDouble micro-kernel.
-        // Per output element the (i, ky, kx) reduction order matches
-        // the scalar triple loop it replaced.
-        std::vector<double> accRow(size_t(ww), 0.0);
-        for (std::int64_t bj = lo; bj < hi; ++bj) {
-            const int b = int(bj / nj);
-            const int j = int(bj % nj);
-            float *yplane =
-                ybase + (size_t(b) * nj + j) * size_t(hh) * ww;
-            for (int oy = 0; oy < hh; ++oy) {
-                std::fill(accRow.begin(), accRow.end(), 0.0);
-                for (int i = 0; i < nc; ++i) {
-                    const float *xplane =
-                        xbase + (size_t(b) * nc + i) * size_t(hh) * ww;
-                    for (int ky = 0; ky < r; ++ky) {
-                        const int iy = oy + ky - pad;
-                        if (iy < 0 || iy >= hh)
-                            continue;
-                        const float *xrow = xplane + size_t(iy) * ww;
-                        for (int kx = 0; kx < r; ++kx) {
-                            // ix = ox + kx - pad must stay in [0, ww)
-                            const int lo2 = std::max(0, pad - kx);
-                            const int hi2 = std::min(ww, ww + pad - kx);
-                            if (hi2 <= lo2)
-                                continue;
-                            K.rowAccumDouble(
-                                accRow.data() + lo2,
-                                xrow + lo2 + kx - pad,
-                                double(w.at(j, i, ky, kx)), hi2 - lo2);
-                        }
-                    }
-                }
-                float *yrow = yplane + size_t(oy) * ww;
-                for (int ox = 0; ox < ww; ++ox)
-                    yrow[ox] = float(accRow[size_t(ox)]);
-            }
-        }
-    });
-    return y;
+    const int pad = (w.h() - 1) / 2;
+    return directConvForwardEx(x, w, 1, 1, pad, pad);
 }
 
 Tensor
@@ -1636,7 +1599,7 @@ Tensor
 directConvForwardEx(const Tensor &x, const Tensor &w, int strideH,
                     int strideW, int padH, int padW)
 {
-    WINOMC_SPAN("direct.fwd_ex", "wino");
+    WINOMC_SPAN("direct.fwd", "wino");
     winomc_assert(x.c() == w.c(), "channel mismatch in direct conv");
     winomc_assert(strideH >= 1 && strideW >= 1 && padH >= 0 && padW >= 0,
                   "bad conv geometry: stride ", strideH, "x", strideW,
@@ -1652,51 +1615,144 @@ directConvForwardEx(const Tensor &x, const Tensor &w, int strideH,
     const int nc = x.c();
     const int hh = x.h();
     const int ww = x.w();
+    const auto &K = mk::kernels();
     const float *xbase = x.data();
+    const float *wbase = w.data();
     float *ybase = y.data();
     StageTimer probe("direct.fwd", 2.0 * x.n() * double(nj) * nc * kh *
                                        kw * double(oh) * ow);
 
-    // Scalar with one double accumulator per output element: this is
-    // the oracle generalized strides/pads/rect-kernels are verified
-    // against, so clarity and a fixed (i, ky, kx) reduction order beat
-    // the strided-row vectorization the unit-stride kernel above has.
+    // One double accumulator per output element, summed in a fixed
+    // (i, ky, kx) order. At unit stride an output row is swept by the
+    // rowAccumDouble micro-kernel, one call per (i, ky, kx) tap over
+    // the ox range whose ix = ox + kx - padW lands inside the input.
+    // A float x float product is exact in double, so a fused
+    // multiply-add rounds exactly like the scalar multiply-then-add:
+    // both paths produce the same bits on every ISA. Strided rows keep
+    // the scalar per-element loop.
+    const bool rowKernel = strideH == 1 && strideW == 1;
     parallelFor(0, std::int64_t(x.n()) * nj, 1,
                 [&](std::int64_t lo, std::int64_t hi) {
+        std::vector<double> accRow(rowKernel ? size_t(ow) : 0, 0.0);
         for (std::int64_t bj = lo; bj < hi; ++bj) {
             const int b = int(bj / nj);
             const int j = int(bj % nj);
+            const float *xb = xbase + size_t(b) * nc * size_t(hh) * ww;
+            const float *wj = wbase + size_t(j) * nc * kh * kw;
             float *yplane =
                 ybase + (size_t(b) * nj + j) * size_t(oh) * ow;
             for (int oy = 0; oy < oh; ++oy) {
-                for (int ox = 0; ox < ow; ++ox) {
-                    double acc = 0.0;
-                    for (int i = 0; i < nc; ++i) {
-                        const float *xplane =
-                            xbase +
-                            (size_t(b) * nc + i) * size_t(hh) * ww;
-                        for (int ky = 0; ky < kh; ++ky) {
-                            const int iy = oy * strideH + ky - padH;
-                            if (iy < 0 || iy >= hh)
-                                continue;
-                            const float *xrow =
-                                xplane + size_t(iy) * ww;
-                            for (int kx = 0; kx < kw; ++kx) {
-                                const int ix = ox * strideW + kx - padW;
-                                if (ix < 0 || ix >= ww)
+                float *yrow = yplane + size_t(oy) * ow;
+                if (!rowKernel) {
+                    for (int ox = 0; ox < ow; ++ox) {
+                        double acc = 0.0;
+                        for (int i = 0; i < nc; ++i) {
+                            const float *xplane =
+                                xb + size_t(i) * hh * ww;
+                            const float *wi = wj + size_t(i) * kh * kw;
+                            for (int ky = 0; ky < kh; ++ky) {
+                                const int iy = oy * strideH + ky - padH;
+                                if (iy < 0 || iy >= hh)
                                     continue;
-                                acc += double(w.at(j, i, ky, kx)) *
-                                       xrow[ix];
+                                const float *xrow =
+                                    xplane + size_t(iy) * ww;
+                                for (int kx = 0; kx < kw; ++kx) {
+                                    const int ix =
+                                        ox * strideW + kx - padW;
+                                    if (ix < 0 || ix >= ww)
+                                        continue;
+                                    acc += double(wi[ky * kw + kx]) *
+                                           xrow[ix];
+                                }
                             }
                         }
+                        yrow[ox] = float(acc);
                     }
-                    yplane[size_t(oy) * ow + ox] = float(acc);
+                    continue;
                 }
+                std::fill(accRow.begin(), accRow.end(), 0.0);
+                for (int i = 0; i < nc; ++i) {
+                    const float *xplane = xb + size_t(i) * hh * ww;
+                    const float *wi = wj + size_t(i) * kh * kw;
+                    for (int ky = 0; ky < kh; ++ky) {
+                        const int iy = oy + ky - padH;
+                        if (iy < 0 || iy >= hh)
+                            continue;
+                        const float *xrow = xplane + size_t(iy) * ww;
+                        for (int kx = 0; kx < kw; ++kx) {
+                            // ix = ox + kx - padW must stay in [0, ww)
+                            const int lo2 = std::max(0, padW - kx);
+                            const int hi2 =
+                                std::min(ow, ww + padW - kx);
+                            if (hi2 <= lo2)
+                                continue;
+                            K.rowAccumDouble(accRow.data() + lo2,
+                                             xrow + lo2 + kx - padW,
+                                             double(wi[ky * kw + kx]),
+                                             hi2 - lo2);
+                        }
+                    }
+                }
+                for (int ox = 0; ox < ow; ++ox)
+                    yrow[ox] = float(accRow[size_t(ox)]);
             }
         }
     });
     return y;
 }
+
+namespace {
+
+/**
+ * dw[j0 + l, i, ky, kx] for l in [0, NB): NB output channels share
+ * each input row read, and each lane keeps its own serial (b, oy, ox)
+ * accumulation chain over the taps that land inside the input. The NB
+ * independent chains are what buys the speed over one chain at a time;
+ * no lane's order changes.
+ */
+template <int NB>
+void
+gradWeightsBlock(const float *xbase, const float *dybase, float *dwbase,
+                 int batch, int ni, int nj, int hh, int ww, int r,
+                 int j0, int i)
+{
+    const int pad = (r - 1) / 2;
+    const size_t plane = size_t(hh) * ww;
+    for (int ky = 0; ky < r; ++ky) {
+        // oy such that iy = oy + ky - pad stays in [0, hh)
+        const int oyLo = std::max(0, pad - ky);
+        const int oyHi = std::min(hh, hh + pad - ky);
+        for (int kx = 0; kx < r; ++kx) {
+            const int oxLo = std::max(0, pad - kx);
+            const int oxHi = std::min(ww, ww + pad - kx);
+            double acc[NB] = {};
+            for (int b = 0; b < batch; ++b) {
+                const float *xplane = xbase + (size_t(b) * ni + i) * plane;
+                const float *dyplane =
+                    dybase + (size_t(b) * nj + j0) * plane;
+                for (int oy = oyLo; oy < oyHi; ++oy) {
+                    const float *xrow =
+                        xplane + size_t(oy + ky - pad) * ww;
+                    const float *dyrow = dyplane + size_t(oy) * ww;
+                    for (int ox = oxLo; ox < oxHi; ++ox) {
+                        const double xv = xrow[ox + kx - pad];
+                        for (int l = 0; l < NB; ++l)
+                            acc[l] +=
+                                double(dyrow[size_t(l) * plane + ox]) *
+                                xv;
+                    }
+                }
+            }
+            for (int l = 0; l < NB; ++l)
+                dwbase[((size_t(j0 + l) * ni + i) * r + ky) * r + kx] =
+                    float(acc[l]);
+        }
+    }
+}
+
+constexpr int kGradWBlock = 8;
+
+} // namespace
 
 Tensor
 directConvGradWeights(const Tensor &x, const Tensor &dy, int r)
@@ -1704,40 +1760,37 @@ directConvGradWeights(const Tensor &x, const Tensor &dy, int r)
     WINOMC_SPAN("direct.grad_weights", "wino");
     winomc_assert(x.n() == dy.n() && x.h() == dy.h() && x.w() == dy.w(),
                   "shape mismatch in direct weight gradient");
-    const int pad = (r - 1) / 2;
     Tensor dw(dy.c(), x.c(), r, r);
     const int ni = x.c();
+    const int nj = dy.c();
+    const int nBlocks = (nj + kGradWBlock - 1) / kGradWBlock;
+    const float *xbase = x.data();
+    const float *dybase = dy.data();
+    float *dwbase = dw.data();
 
-    // Output partition over (j, i): the batch reduction stays inside
-    // one task, keeping the summation order thread-count invariant.
-    // Stays scalar: the serial (b, oy, ox) accumulation order is part
-    // of the bitwise contract and does not map onto the fixed-chain
-    // dot-product kernel.
-    parallelFor(0, std::int64_t(dy.c()) * ni, 1,
+    // Output partition over (block of output channels, i): the batch
+    // reduction stays inside one task, so the summation order is
+    // thread-count invariant. Each dw element is one serial
+    // double-precision chain in (b, oy, ox) order. The products are
+    // float x float, exact in double, so the chain rounds identically
+    // whatever the compiler or ISA does with the multiply-add.
+    parallelFor(0, std::int64_t(nBlocks) * ni, 1,
                 [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t ji = lo; ji < hi; ++ji) {
-            const int j = int(ji / ni);
-            const int i = int(ji % ni);
-            for (int ky = 0; ky < r; ++ky) {
-                for (int kx = 0; kx < r; ++kx) {
-                    double acc = 0.0;
-                    for (int b = 0; b < x.n(); ++b) {
-                        for (int oy = 0; oy < x.h(); ++oy) {
-                            int iy = oy + ky - pad;
-                            if (iy < 0 || iy >= x.h())
-                                continue;
-                            for (int ox = 0; ox < x.w(); ++ox) {
-                                int ix = ox + kx - pad;
-                                if (ix < 0 || ix >= x.w())
-                                    continue;
-                                acc += double(dy.at(b, j, oy, ox)) *
-                                       x.at(b, i, iy, ix);
-                            }
-                        }
-                    }
-                    dw.at(j, i, ky, kx) = float(acc);
-                }
+        for (std::int64_t bi = lo; bi < hi; ++bi) {
+            const int i = int(bi % ni);
+            const int j0 = int(bi / ni) * kGradWBlock;
+            const int jEnd = std::min(nj, j0 + kGradWBlock);
+            // A full block takes the 8-lane body; a ragged tail goes one
+            // channel at a time.
+            if (jEnd - j0 == kGradWBlock) {
+                gradWeightsBlock<kGradWBlock>(xbase, dybase, dwbase, x.n(),
+                                              ni, nj, x.h(), x.w(), r, j0,
+                                              i);
+                continue;
             }
+            for (int j = j0; j < jEnd; ++j)
+                gradWeightsBlock<1>(xbase, dybase, dwbase, x.n(), ni, nj,
+                                    x.h(), x.w(), r, j, i);
         }
     });
     return dw;

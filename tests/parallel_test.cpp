@@ -16,6 +16,9 @@
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "nn/basic_layers.hh"
+#include "nn/batchnorm.hh"
+#include "nn/conv_layer.hh"
 #include "winograd/algo.hh"
 #include "winograd/conv.hh"
 
@@ -294,6 +297,7 @@ struct KernelOutputs
     WinoTiles X, Y, dY, dX;
     WinoWeights W, dW;
     Tensor y, dx, dw, directY, directDx, directDw;
+    Tensor bnY, bnDx, bnEvalY, poolY, poolDx, stemY;
 };
 
 KernelOutputs
@@ -320,6 +324,23 @@ runAllKernels(const ParityShape &s, const WinogradAlgo &algo)
     o.directY = directConvForward(x, w);
     o.directDx = directConvBackwardData(dy, w);
     o.directDw = directConvGradWeights(x, dy, 3);
+
+    // The nn layers that run on the pool. x doubles as BatchNorm's
+    // upstream gradient and the pooled output as MaxPool's.
+    nn::BatchNorm2d bn(s.chIn);
+    o.bnY = bn.forward(x, true);
+    o.bnDx = bn.backward(x);
+    o.bnEvalY = bn.forward(x, false);
+    nn::MaxPool2 pool;
+    o.poolY = pool.forward(x, true);
+    o.poolDx = pool.backward(o.poolY);
+    // An Auto stem on a 3-channel image: the tuner picks the direct
+    // path for these small layers.
+    Tensor img(s.batch, 3, s.hw, s.hw);
+    img.fillUniform(rng);
+    Rng stemRng(7);
+    nn::ConvLayer stem(3, s.chOut, 3, 3, 1, 1, stemRng);
+    o.stemY = stem.forward(img, false);
     return o;
 }
 
@@ -358,6 +379,13 @@ TEST_P(ThreadParity, KernelsBitwiseIdenticalAcrossThreadCounts)
                        "directConvBackwardData");
     expectTensorsEqual(serial.directDw, threaded.directDw,
                        "directConvGradWeights");
+    expectTensorsEqual(serial.bnY, threaded.bnY, "BatchNorm2d forward");
+    expectTensorsEqual(serial.bnDx, threaded.bnDx, "BatchNorm2d backward");
+    expectTensorsEqual(serial.bnEvalY, threaded.bnEvalY,
+                       "BatchNorm2d eval forward");
+    expectTensorsEqual(serial.poolY, threaded.poolY, "MaxPool2 forward");
+    expectTensorsEqual(serial.poolDx, threaded.poolDx, "MaxPool2 backward");
+    expectTensorsEqual(serial.stemY, threaded.stemY, "Auto conv forward");
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ThreadParity,

@@ -135,7 +135,7 @@ MptConvLayer::backward(const Tensor &dy)
     for (int c = 0; c < nc; ++c) {
         WinoPlan &plan = *plans[size_t(c)];
         shardInto(dy, c * shard, dyShard);
-        plan.scatterGradOutput(dyShard);
+        plan.transformGradOutput(dyShard);
         WinoTiles &dXt = plan.gradInputTilesMutable();
         dXt.fill(0.0f); // group loop accumulates partial products
         for (int g = 0; g < ng; ++g) {

@@ -2,21 +2,24 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/metrics.hh"
 #include "common/parallel.hh"
-#include "common/perfcounters.hh"
 #include "common/trace.hh"
 #include "winograd/microkernel.hh"
 #include "winograd/plan.hh"
+#include "winograd/stages.hh"
 
 namespace winomc {
 
-namespace {
+using stage::kMaxAlpha;
+using stage::StageTimer;
+using stage::TileRange;
 
-constexpr int kMaxAlpha = 8;
+namespace {
 
 /**
  * Cache/register blocking for the per-uv GEMMs of Equation (2).
@@ -69,171 +72,578 @@ sandwich(const double *L, int a, int n, const double *in, int k,
     }
 }
 
-/**
- * RAII throughput probe: when metrics are on, times the enclosing
- * stage and publishes kernel.<stage>.gflops plus the vector/scalar
- * time split. Costs one relaxed atomic load when metrics are off.
- */
-class StageTimer
+/** Run fn over [0, n): on the pool for a whole-grid call, inline for a
+ *  strip (whose caller's strip loop is the parallel unit). */
+template <class Fn>
+void
+forRange(const TileRange &r, std::int64_t n, const Fn &fn)
 {
-  public:
-    StageTimer(const char *stage, double flops)
-        : stage(stage), flops(flops), active(metrics::enabled())
-    {
-        if (active) {
-            start = std::chrono::steady_clock::now();
-            perf0 = perf::read();
-        }
-    }
-    ~StageTimer()
-    {
-        if (active) {
-            std::chrono::duration<double> d =
-                std::chrono::steady_clock::now() - start;
-            mk::publishStageMetrics(stage, d.count(), flops);
-            // This thread's hardware-counter share of the stage
-            // (perf.<stage>.*); joins kernel.<stage>.{seconds,flops}
-            // in the winomc-report roofline.
-            perf::publishStage(stage, perf0);
-        }
-    }
-    StageTimer(const StageTimer &) = delete;
-    StageTimer &operator=(const StageTimer &) = delete;
+    if (r.grid)
+        parallelFor(0, n, 1, fn);
+    else
+        fn(std::int64_t(0), n);
+}
 
-  private:
-    const char *stage;
-    double flops;
-    bool active;
-    std::chrono::steady_clock::time_point start;
-    perf::Reading perf0;
+/** The trace span + throughput timer of a whole-grid stage call; a
+ *  strip call records neither (its plan times the fused phase). */
+struct GridProbe
+{
+    GridProbe(const TileRange &r, const char *span, const char *stageId,
+              double flops)
+        : timer(stageId, flops, r.grid)
+    {
+        if (r.grid)
+            scope.emplace(span, "wino");
+    }
+    std::optional<ScopedSpan> scope;
+    StageTimer timer;
 };
+
+void
+checkAlpha(int alpha)
+{
+    winomc_assert(alpha <= kMaxAlpha, "alpha too large: ", alpha,
+                  " (the transform panels hold at most ", kMaxAlpha, ")");
+}
+
+/** Spatial patch origins of the cnt tiles starting at tile t0. */
+void
+patchOrigins(const stage::TileMap &mp, int t0, int cnt, int *tr, int *tc)
+{
+    for (int l = 0; l < cnt; ++l) {
+        const int t = t0 + l;
+        tr[l] = (t / mp.grid.tilesW) * mp.grid.m - mp.org;
+        tc[l] = (t % mp.grid.tilesW) * mp.grid.m - mp.org;
+    }
+}
+
+/**
+ * Task-local tallies behind the quant.mask.* (mask build) and
+ * quant.ew.* (row compaction) counters: accumulated in registers
+ * inside the kernels, published once per task or strip so the metrics
+ * registry mutex never sits on the hot path.
+ */
+struct SkipTally
+{
+    double panelsTotal = 0.0, panelsZero = 0.0;
+    double rowsTotal = 0.0, rowsSkipped = 0.0, flopsSkipped = 0.0;
+
+    void
+    publish() const
+    {
+        if (!metrics::enabled())
+            return;
+        if (panelsTotal > 0.0) {
+            metrics::counterAdd("quant.mask.panels_total", panelsTotal);
+            metrics::counterAdd("quant.mask.panels_zero", panelsZero);
+        }
+        if (rowsTotal > 0.0) {
+            metrics::counterAdd("quant.ew.rows_total", rowsTotal);
+            metrics::counterAdd("quant.ew.rows_skipped", rowsSkipped);
+            metrics::counterAdd("quant.ew.flops_skipped", flopsSkipped);
+        }
+    }
+};
+
+/** Row length of a tile container's (batch * tiles) axis. */
+template <class Tiles>
+std::size_t
+rowLen(const Tiles &t)
+{
+    return std::size_t(t.batch()) * t.tiles();
+}
 
 } // namespace
 
-void
-transformInputInto(const Tensor &x, const WinogradAlgo &algo,
-                   WinoTiles &out)
+namespace stage {
+
+StageTimer::StageTimer(const char *stage, double flops, bool on)
+    : stage(stage), flops(flops), active(on && metrics::enabled())
 {
-    WINOMC_SPAN("wino.xform.input", "wino");
-    winomc_assert(algo.alpha <= kMaxAlpha, "alpha too large");
-    TileGrid grid(x.h(), x.w(), algo);
-    winomc_assert(out.alphaEdge() == algo.alpha &&
-                  out.channels() == x.c() && out.batch() == x.n() &&
-                  out.tiles() == grid.tiles(),
-                  "transformInputInto destination shape mismatch");
+    if (active) {
+        start = std::chrono::steady_clock::now();
+        perf0 = perf::read();
+    }
+}
 
+StageTimer::~StageTimer()
+{
+    if (active) {
+        std::chrono::duration<double> d =
+            std::chrono::steady_clock::now() - start;
+        mk::publishStageMetrics(stage, d.count(), flops);
+        // This thread's hardware-counter share of the stage
+        // (perf.<stage>.*); joins kernel.<stage>.{seconds,flops} in the
+        // winomc-report roofline.
+        perf::publishStage(stage, perf0);
+    }
+}
+
+TileMap::TileMap(Side side, const WinogradAlgo &algo, const TileGrid &g)
+    : grid(g), alpha(algo.alpha)
+{
     const int a = algo.alpha;
-    const int nc = x.c();
-    const int h = x.h();
-    const int w = x.w();
-    const int nt = grid.tiles();
-    const auto &K = mk::kernels();
-    const double *BT = algo.BT.data();
-    const double *B = algo.B.data();
-    const float *xbase = x.data();
-    const size_t uvStr = out.uvStride();
-    StageTimer probe("xform.input",
-                     4.0 * a * a * a * double(x.n()) * nc * nt);
+    const int m = algo.m;
+    const bool inputSide = side == Side::Input || side == Side::InputAdjoint;
+    edge = inputSide ? a : m;
+    org = inputSide ? g.pad : 0;
+    add = side == Side::InputAdjoint;
+    flopsPerTile = inputSide ? 4.0 * a * a * a : 2.0 * m * a * (a + m);
+    switch (side) {
+      case Side::Input: // X = B^T x B
+        L = algo.BT.data();
+        R = algo.B.data();
+        span = "wino.xform.input";
+        stageId = "xform.input";
+        break;
+      case Side::InputAdjoint: // adjoint of X = B^T x B: B dX B^T
+        L = algo.B.data();
+        R = algo.BT.data();
+        span = "wino.xform.input_adjoint";
+        stageId = "xform.input_adjoint";
+        break;
+      case Side::Output: // y = A^T Y A
+        L = algo.AT.data();
+        R = algo.A.data();
+        span = "wino.xform.inverse";
+        stageId = "xform.inverse";
+        break;
+      case Side::OutputAdjoint: // adjoint of y = A^T Y A: A dy A^T
+        L = algo.A.data();
+        R = algo.AT.data();
+        span = "wino.xform.inverse_adjoint";
+        stageId = "xform.inverse_adjoint";
+        break;
+    }
+}
 
-    // Each (batch, channel) plane is independent; workers keep their
+template <class Tiles, bool Masked>
+void
+gather(const TileMap &mp, const Tensor &src, const TileRange &r,
+       Tiles &dst, ActMask *mask, int halfKind)
+{
+    constexpr bool kHalf = std::is_same_v<Tiles, HalfTiles>;
+    checkAlpha(mp.alpha);
+    winomc_assert(src.h() == mp.grid.h && src.w() == mp.grid.w &&
+                      r.b1 <= src.n() && r.t0 + r.tcnt <= mp.grid.tiles(),
+                  "tile gather source range mismatch");
+    winomc_assert(dst.alphaEdge() == mp.alpha && dst.channels() == src.c() &&
+                      dst.batch() >= r.b1 - r.b0 && dst.tiles() >= r.tcnt,
+                  "tile gather destination shape mismatch");
+    const int a = mp.alpha;
+    const int e = mp.edge;
+    const int nc = src.c();
+    const int h = src.h();
+    const int w = src.w();
+    const auto &K = mk::kernels();
+    const std::size_t uvStr = dst.uvStride();
+    GridProbe probe(r, mp.span, mp.stageId,
+                    mp.flopsPerTile * double(r.b1 - r.b0) * nc * r.tcnt);
+
+    // Each (image, channel) plane is independent; workers keep their
     // SoA scratch panel on the stack so the loop never allocates. The
     // spatial side is gathered scalar (strided, padded); the transform
-    // itself runs vectorized across the panel's tiles.
-    parallelFor(0, std::int64_t(x.n()) * nc, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
+    // runs vectorized across the panel's tiles. A masked gather then
+    // scans the just-written (L1-hot) panel for all-zero coefficients;
+    // each destination mask plane has exactly one writer.
+    forRange(r, std::int64_t(r.b1 - r.b0) * nc,
+             [&](std::int64_t lo, std::int64_t hi) {
         SoaPanel soa;
+        SkipTally tally;
         for (std::int64_t bc = lo; bc < hi; ++bc) {
-            const int b = int(bc / nc);
+            const int db = int(bc / nc);
             const int c = int(bc % nc);
             const float *plane =
-                xbase + (size_t(b) * nc + c) * size_t(h) * w;
-            for (int t0 = 0; t0 < nt; t0 += mk::kTilePanel) {
-                const int cnt = std::min(mk::kTilePanel, nt - t0);
+                src.data() + (std::size_t(r.b0 + db) * nc + c) * h * w;
+            if constexpr (Masked) {
+                std::uint64_t *mreg = mask->plane(c, db);
+                std::fill(mreg, mreg + mask->wordsPerPlane(), 0);
+            }
+            for (int p0 = 0; p0 < r.tcnt; p0 += mk::kTilePanel) {
+                const int cnt = std::min(mk::kTilePanel, r.tcnt - p0);
                 int tr[mk::kTilePanel], tc[mk::kTilePanel];
-                for (int l = 0; l < cnt; ++l) {
-                    const int t = t0 + l;
-                    tr[l] = grid.tileRow(t / grid.tilesW);
-                    tc[l] = grid.tileCol(t % grid.tilesW);
+                patchOrigins(mp, r.t0 + p0, cnt, tr, tc);
+                K.packTilePanel(soa.data(), plane, h, w, tr, tc, e, e, cnt);
+                auto *out = dst.uvBase(c, db, p0);
+                if constexpr (kHalf)
+                    K.xformToTilesHalf(mp.L, a, e, mp.R, e, a, soa.data(),
+                                       out, uvStr, cnt, halfKind);
+                else
+                    K.xformToTiles(mp.L, a, e, mp.R, e, a, soa.data(), out,
+                                   uvStr, cnt);
+                if constexpr (Masked) {
+                    std::uint64_t zm;
+                    if constexpr (kHalf)
+                        zm = K.panelZeroMaskHalf(out, uvStr, a * a, cnt);
+                    else
+                        zm = K.panelZeroMask(out, uvStr, a * a, cnt);
+                    mask->orPanelBits(c, db, p0 / mk::kTilePanel, zm);
+                    tally.panelsTotal += a * a;
+                    tally.panelsZero += __builtin_popcountll(zm);
                 }
-                K.packTilePanel(soa.data(), plane, h, w, tr, tc, a, a,
-                                cnt);
-                K.xformToTiles(BT, a, a, B, a, a, soa.data(),
-                               out.uvBase(c, b, t0), uvStr, cnt);
+            }
+        }
+        tally.publish();
+    });
+}
+
+void
+scatter(const TileMap &mp, const WinoTiles &src, const TileRange &r,
+        Tensor &dst)
+{
+    checkAlpha(mp.alpha);
+    winomc_assert(dst.h() == mp.grid.h && dst.w() == mp.grid.w &&
+                      r.b1 <= dst.n() && r.t0 + r.tcnt <= mp.grid.tiles(),
+                  "tile scatter destination range mismatch");
+    winomc_assert(src.alphaEdge() == mp.alpha && src.channels() == dst.c() &&
+                      src.batch() >= r.b1 - r.b0 && src.tiles() >= r.tcnt,
+                  "tile scatter source shape mismatch");
+    const int a = mp.alpha;
+    const int e = mp.edge;
+    const int nc = dst.c();
+    const int h = dst.h();
+    const int w = dst.w();
+    const auto &K = mk::kernels();
+    const auto unpack = mp.add ? K.unpackAddTilePanel : K.unpackTilePanel;
+    const std::size_t uvStr = src.uvStride();
+    GridProbe probe(r, mp.span, mp.stageId,
+                    mp.flopsPerTile * double(r.b1 - r.b0) * nc * r.tcnt);
+
+    // Partitioned over destination planes: overlap-add only ever
+    // collides within one plane, and panel lanes scatter in ascending
+    // tile order, so any thread count is race-free and bitwise
+    // identical to serial.
+    forRange(r, std::int64_t(r.b1 - r.b0) * nc,
+             [&](std::int64_t lo, std::int64_t hi) {
+        SoaPanel soa;
+        for (std::int64_t bc = lo; bc < hi; ++bc) {
+            const int db = int(bc / nc);
+            const int c = int(bc % nc);
+            float *plane =
+                dst.data() + (std::size_t(r.b0 + db) * nc + c) * h * w;
+            if (mp.add && r.t0 == 0)
+                std::fill(plane, plane + std::size_t(h) * w, 0.0f);
+            for (int p0 = 0; p0 < r.tcnt; p0 += mk::kTilePanel) {
+                const int cnt = std::min(mk::kTilePanel, r.tcnt - p0);
+                K.xformFromTiles(mp.L, e, a, mp.R, a, e,
+                                 src.uvBase(c, db, p0), uvStr, soa.data(),
+                                 cnt);
+                int tr[mk::kTilePanel], tc[mk::kTilePanel];
+                patchOrigins(mp, r.t0 + p0, cnt, tr, tc);
+                unpack(plane, h, w, tr, tc, e, e, soa.data(), cnt);
             }
         }
     });
 }
+
+template <class Tiles, bool Masked>
+void
+ewForward(const Tiles &X, const WinoWeights &W, const TileRange &r,
+          WinoTiles &Y, const ActMask *mask, int halfKind)
+{
+    constexpr bool kHalf = std::is_same_v<Tiles, HalfTiles>;
+    constexpr bool kCompact = Masked || kHalf;
+    using Elem = std::remove_const_t<
+        std::remove_pointer_t<decltype(X.row(0, 0))>>;
+    winomc_assert(X.alphaEdge() == W.alphaEdge(),
+                  "algo mismatch between tiles and weights");
+    winomc_assert(X.channels() == W.inChannels(),
+                  "channel mismatch: tiles ", X.channels(), " weights ",
+                  W.inChannels());
+    const int kLen = r.cols();
+    winomc_assert(Y.alphaEdge() == X.alphaEdge() &&
+                      Y.channels() == W.outChannels() &&
+                      rowLen(X) >= std::size_t(kLen) &&
+                      rowLen(Y) >= std::size_t(kLen),
+                  "elementwise forward shape mismatch");
+    const int a2 = X.uvCount();
+    const int nj = W.outChannels();
+    const int ni = W.inChannels();
+    const int jBlocks = (nj + kJBlock - 1) / kJBlock;
+    const int kBlocks = (kLen + kKBlock - 1) / kKBlock;
+    const auto &K = mk::kernels();
+    GridProbe probe(r, "wino.ew.fwd", "ew.fwd",
+                    2.0 * a2 * double(nj) * ni * kLen);
+
+    // Resolve the mask once into a per-(uv, k-block, row) byte table.
+    // Every J-block task over one uv needs the same row liveness, so
+    // querying the bit-packed mask from the GEMM inner loop would
+    // repeat the panel walk jBlocks times per row; at this granularity
+    // the walk itself, not the skipped FLOPs, dominates.
+    std::vector<std::uint8_t> rowLive;
+    if constexpr (Masked) {
+        rowLive.resize(std::size_t(a2) * kBlocks * ni);
+        forRange(r, a2, [&](std::int64_t lo, std::int64_t hi) {
+            for (std::int64_t uv = lo; uv < hi; ++uv)
+                for (int kb = 0; kb < kBlocks; ++kb) {
+                    const int k0 = kb * kKBlock;
+                    const int kn = std::min(kKBlock, kLen - k0);
+                    // Unit stride in i: the compaction scan walks this.
+                    std::uint8_t *dst =
+                        rowLive.data() + (uv * kBlocks + kb) * ni;
+                    for (int i = 0; i < ni; ++i)
+                        dst[i] = !mask->rowRangeZero(int(uv), i, k0, kn);
+                }
+        });
+    }
+
+    // Y[uv] (J x cols) = W[uv] (J x I) * X[uv] (I x cols), partitioned
+    // over the uv x J-block output space; each task owns kJBlock Y
+    // rows and zeroes the range's columns before accumulating.
+    const std::size_t xrs = rowLen(X);
+    forRange(r, std::int64_t(a2) * jBlocks,
+             [&](std::int64_t lo, std::int64_t hi) {
+        SkipTally tally;
+        std::vector<const Elem *> xc(kCompact ? std::size_t(ni) : 0);
+        std::vector<float> wc(kCompact ? std::size_t(ni) : 0);
+        std::vector<std::uint8_t> grp(
+            kCompact ? std::size_t((ni + kIUnroll - 1) / kIUnroll) : 0);
+        for (std::int64_t task = lo; task < hi; ++task) {
+            const int uv = int(task / jBlocks);
+            const int j0 = int(task % jBlocks) * kJBlock;
+            const int jn = std::min(kJBlock, nj - j0);
+            float *yrows[kJBlock];
+            for (int jj = 0; jj < jn; ++jj) {
+                yrows[jj] = Y.row(uv, j0 + jj);
+                std::fill(yrows[jj], yrows[jj] + kLen, 0.0f);
+            }
+            const Elem *xuv = X.row(uv, 0);
+            for (int k0 = 0; k0 < kLen; k0 += kKBlock) {
+                const int kb = std::min(kKBlock, kLen - k0);
+                if constexpr (!kCompact) {
+                    // Blocked body: a register block of kIUnroll input
+                    // channels per call, so every Y load/store
+                    // amortizes kIUnroll FMAs instead of one.
+                    for (int i0 = 0; i0 < ni; i0 += kIUnroll) {
+                        const int ib = std::min(kIUnroll, ni - i0);
+                        const float *xr[kIUnroll];
+                        for (int ii = 0; ii < ib; ++ii)
+                            xr[ii] = xuv + (i0 + ii) * xrs + k0;
+                        for (int jj = 0; jj < jn; ++jj) {
+                            float wv[kIUnroll];
+                            bool any = false;
+                            for (int ii = 0; ii < ib; ++ii) {
+                                wv[ii] = W.at(uv, j0 + jj, i0 + ii);
+                                any = any || wv[ii] != 0.0f;
+                            }
+                            if (any) // zero weight blocks skip
+                                K.panelAccum(yrows[jj] + k0, xr, wv, ib,
+                                             kb);
+                        }
+                    }
+                } else {
+                    // Compacting bodies: every surviving (weight
+                    // nonzero AND activation range live) row of the
+                    // whole input-channel column goes into one kernel
+                    // call, so each y panel is read and written once
+                    // instead of ni/kIUnroll times. The fp32 group
+                    // descriptor keeps the blocked kernel's
+                    // per-register-block expression shapes (bitwise
+                    // identical to dense fp32); the 16-bit kernel
+                    // accumulates per row sequentially at every ISA
+                    // level and ignores the grouping. The append is
+                    // branchless: at high sparsity the scan itself is
+                    // the cost, and a skipped-row branch mispredicts
+                    // by construction.
+                    const std::uint8_t *live = nullptr;
+                    if constexpr (Masked)
+                        live = rowLive.data() +
+                               (std::size_t(uv) * kBlocks + k0 / kKBlock) *
+                                   ni;
+                    for (int jj = 0; jj < jn; ++jj) {
+                        const float *wrow =
+                            W.raw() +
+                            (std::size_t(uv) * nj + j0 + jj) * ni;
+                        int nv = 0, ng = 0, tailOrig = kIUnroll;
+                        for (int i0 = 0; i0 < ni; i0 += kIUnroll) {
+                            const int ib = std::min(kIUnroll, ni - i0);
+                            const int base = nv;
+                            for (int i = i0; i < i0 + ib; ++i) {
+                                wc[std::size_t(nv)] = wrow[i];
+                                xc[std::size_t(nv)] = xuv + i * xrs + k0;
+                                nv += int(wrow[i] != 0.0f) &
+                                      int(!Masked || live[i]);
+                            }
+                            if (nv != base) {
+                                grp[std::size_t(ng++)] =
+                                    std::uint8_t(nv - base);
+                                tailOrig = ib;
+                            }
+                        }
+                        if constexpr (Masked) {
+                            tally.rowsTotal += ni;
+                            tally.rowsSkipped += ni - nv;
+                            tally.flopsSkipped += 2.0 * (ni - nv) * kb;
+                        }
+                        if (nv == 0)
+                            continue;
+                        if constexpr (kHalf)
+                            K.panelAccumHalf(yrows[jj] + k0, xc.data(),
+                                             wc.data(), nv, kb,
+                                             halfKind);
+                        else
+                            K.panelAccumGrouped(yrows[jj] + k0, xc.data(),
+                                                wc.data(), nv, kb,
+                                                grp.data(), ng, tailOrig);
+                    }
+                }
+            }
+        }
+        tally.publish();
+    });
+}
+
+void
+ewBackwardData(const WinoTiles &dY, const WinoWeights &W,
+               const TileRange &r, WinoTiles &dX)
+{
+    const int kLen = r.cols();
+    winomc_assert(dY.channels() == W.outChannels(),
+                  "channel mismatch in backward data");
+    winomc_assert(dX.alphaEdge() == dY.alphaEdge() &&
+                      dX.channels() == W.inChannels() &&
+                      rowLen(dY) >= std::size_t(kLen) &&
+                      rowLen(dX) >= std::size_t(kLen),
+                  "elementwise backward-data shape mismatch");
+    const int a2 = dY.uvCount();
+    const int nj = W.outChannels();
+    const int ni = W.inChannels();
+    const int iBlocks = (ni + kJBlock - 1) / kJBlock;
+    const auto &K = mk::kernels();
+    GridProbe probe(r, "wino.ew.bwd_data", "ew.bwd_data",
+                    2.0 * a2 * double(nj) * ni * kLen);
+
+    // dX[uv] (I x cols) = W[uv]^T (I x J) * dY[uv] (J x cols): the
+    // blocked forward body with the roles of I and J swapped. The
+    // weight register block W.at(uv, j, i0..i0+3) is contiguous.
+    forRange(r, std::int64_t(a2) * iBlocks,
+             [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t task = lo; task < hi; ++task) {
+            const int uv = int(task / iBlocks);
+            const int i0 = int(task % iBlocks) * kJBlock;
+            const int in = std::min(kJBlock, ni - i0);
+            float *dxrows[kJBlock];
+            for (int ii = 0; ii < in; ++ii) {
+                dxrows[ii] = dX.row(uv, i0 + ii);
+                std::fill(dxrows[ii], dxrows[ii] + kLen, 0.0f);
+            }
+            for (int k0 = 0; k0 < kLen; k0 += kKBlock) {
+                const int kb = std::min(kKBlock, kLen - k0);
+                // Register block of kIUnroll output channels (the
+                // reduction axis here), mirroring the forward kernel.
+                for (int j0 = 0; j0 < nj; j0 += kIUnroll) {
+                    const int jb = std::min(kIUnroll, nj - j0);
+                    const float *dyr[kIUnroll];
+                    for (int jj = 0; jj < jb; ++jj)
+                        dyr[jj] = dY.row(uv, j0 + jj) + k0;
+                    for (int ii = 0; ii < in; ++ii) {
+                        float wv[kIUnroll];
+                        bool any = false;
+                        for (int jj = 0; jj < jb; ++jj) {
+                            wv[jj] = W.at(uv, j0 + jj, i0 + ii);
+                            any = any || wv[jj] != 0.0f;
+                        }
+                        if (!any)
+                            continue;
+                        K.panelAccum(dxrows[ii] + k0, dyr, wv, jb, kb);
+                    }
+                }
+            }
+        }
+    });
+}
+
+void
+ewGradWeights(const WinoTiles &dY, const WinoTiles &X, WinoWeights &dW)
+{
+    WINOMC_SPAN("wino.ew.grad_weights", "wino");
+    winomc_assert(dY.batch() == X.batch() && dY.tiles() == X.tiles() &&
+                  dY.alphaEdge() == X.alphaEdge(),
+                  "shape mismatch in weight gradient");
+    winomc_assert(dW.alphaEdge() == X.alphaEdge() &&
+                  dW.outChannels() == dY.channels() &&
+                  dW.inChannels() == X.channels(),
+                  "weight gradient destination shape mismatch");
+    const int bt = X.batch() * X.tiles();
+    const int nj = dY.channels();
+    const int ni = X.channels();
+    const int jBlocks = (nj + kJBlock - 1) / kJBlock;
+    const auto &K = mk::kernels();
+    StageTimer probe("ew.grad_weights",
+                     2.0 * X.uvCount() * double(nj) * ni * bt);
+
+    // dW[uv] (J x I) = dY[uv] (J x BT) * X[uv]^T (BT x I). Partitioned
+    // over the *output* (uv, J-block) space: every dW element is owned
+    // by exactly one task and its reduction runs over k in ascending
+    // order, so results are bitwise identical for any thread count.
+    parallelFor(0, std::int64_t(X.uvCount()) * jBlocks, 1,
+                [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t task = lo; task < hi; ++task) {
+            const int uv = int(task / jBlocks);
+            const int j0 = int(task % jBlocks) * kJBlock;
+            const int jn = std::min(kJBlock, nj - j0);
+            double acc[kJBlock][kIBlock];
+            for (int i0 = 0; i0 < ni; i0 += kIBlock) {
+                const int in = std::min(kIBlock, ni - i0);
+                for (int jj = 0; jj < jn; ++jj)
+                    for (int ii = 0; ii < in; ++ii)
+                        acc[jj][ii] = 0.0;
+                for (int k0 = 0; k0 < bt; k0 += kKBlock) {
+                    const int kb = std::min(kKBlock, bt - k0);
+                    for (int ii = 0; ii < in; ++ii) {
+                        const float *x = X.row(uv, i0 + ii) + k0;
+                        for (int jj = 0; jj < jn; ++jj) {
+                            const float *dy = dY.row(uv, j0 + jj) + k0;
+                            acc[jj][ii] += K.dotDouble(dy, x, kb);
+                        }
+                    }
+                }
+                for (int jj = 0; jj < jn; ++jj)
+                    for (int ii = 0; ii < in; ++ii)
+                        dW.at(uv, j0 + jj, i0 + ii) =
+                            float(acc[jj][ii]);
+            }
+        }
+    });
+}
+
+#define WINOMC_STAGE_STORAGE(T, M)                                         \
+    template void gather<T, M>(const TileMap &, const Tensor &,            \
+                               const TileRange &, T &, ActMask *, int);    \
+    template void ewForward<T, M>(const T &, const WinoWeights &,          \
+                                  const TileRange &, WinoTiles &,          \
+                                  const ActMask *, int);
+WINOMC_STAGE_STORAGE(WinoTiles, false)
+WINOMC_STAGE_STORAGE(WinoTiles, true)
+WINOMC_STAGE_STORAGE(HalfTiles, false)
+WINOMC_STAGE_STORAGE(HalfTiles, true)
+#undef WINOMC_STAGE_STORAGE
+
+} // namespace stage
+
+// ------------------------------------------- Value-returning stage API
 
 WinoTiles
 transformInput(const Tensor &x, const WinogradAlgo &algo)
 {
-    TileGrid grid(x.h(), x.w(), algo);
+    const TileGrid grid(x.h(), x.w(), algo);
     WinoTiles out(algo.alpha, x.c(), x.n(), grid.tiles());
-    transformInputInto(x, algo, out);
+    stage::gather<WinoTiles, false>({stage::Side::Input, algo, grid}, x,
+                                    TileRange::whole(x.n(), grid.tiles()),
+                                    out);
     return out;
-}
-
-void
-transformInputAdjointInto(const WinoTiles &dX, const WinogradAlgo &algo,
-                          Tensor &dx)
-{
-    WINOMC_SPAN("wino.xform.input_adjoint", "wino");
-    const int h = dx.h();
-    const int w = dx.w();
-    TileGrid grid(h, w, algo);
-    winomc_assert(grid.tiles() == dX.tiles(),
-                  "tile count mismatch in input adjoint");
-    winomc_assert(dx.n() == dX.batch() && dx.c() == dX.channels(),
-                  "transformInputAdjointInto destination shape mismatch");
-    dx.fill(0.0f); // overlap-add target
-
-    const int a = algo.alpha;
-    const int nc = dX.channels();
-    const int nt = grid.tiles();
-    const auto &K = mk::kernels();
-    const double *B = algo.B.data();
-    const double *BT = algo.BT.data();
-    float *dxbase = dx.data();
-    const size_t uvStr = dX.uvStride();
-    StageTimer probe("xform.input_adjoint",
-                     4.0 * a * a * a * double(dX.batch()) * nc * nt);
-
-    // Partitioned over output (batch, channel) planes: overlap-add only
-    // ever collides within one plane, and panel lanes scatter in
-    // ascending tile order, so any thread count is race-free and
-    // bitwise identical to serial.
-    parallelFor(0, std::int64_t(dX.batch()) * nc, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        SoaPanel soa;
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-            const int b = int(bc / nc);
-            const int c = int(bc % nc);
-            float *plane = dxbase + (size_t(b) * nc + c) * size_t(h) * w;
-            for (int t0 = 0; t0 < nt; t0 += mk::kTilePanel) {
-                const int cnt = std::min(mk::kTilePanel, nt - t0);
-                // Adjoint of X = BT x B is dx = B dX B^T.
-                K.xformFromTiles(B, a, a, BT, a, a,
-                                 dX.uvBase(c, b, t0), uvStr, soa.data(),
-                                 cnt);
-                int tr[mk::kTilePanel], tc[mk::kTilePanel];
-                for (int l = 0; l < cnt; ++l) {
-                    const int t = t0 + l;
-                    tr[l] = grid.tileRow(t / grid.tilesW);
-                    tc[l] = grid.tileCol(t % grid.tilesW);
-                }
-                K.unpackAddTilePanel(plane, h, w, tr, tc, a, a,
-                                     soa.data(), cnt);
-            }
-        }
-    });
 }
 
 Tensor
 transformInputAdjoint(const WinoTiles &dX, const WinogradAlgo &algo,
                       int h, int w)
 {
+    const TileGrid grid(h, w, algo);
+    winomc_assert(grid.tiles() == dX.tiles(),
+                  "tile count mismatch in input adjoint");
     Tensor dx(dX.batch(), dX.channels(), h, w);
-    transformInputAdjointInto(dX, algo, dx);
+    stage::scatter({stage::Side::InputAdjoint, algo, grid}, dX,
+                   TileRange::whole(dX.batch(), grid.tiles()), dx);
     return dx;
 }
 
@@ -249,7 +659,7 @@ transformWeightsInto(const Tensor &w, const WinogradAlgo &algo,
                   "transformWeightsInto destination shape mismatch");
     const int a = algo.alpha;
     const int r = algo.r;
-    winomc_assert(a <= kMaxAlpha, "alpha too large");
+    checkAlpha(a);
     const int nj = w.n();
     const int ni = w.c();
     // Local copies of G (a x r) and G^T (r x a): the per-filter
@@ -296,7 +706,7 @@ transformWeightsAdjointInto(const WinoWeights &dW,
     WINOMC_SPAN("wino.xform.weights_adjoint", "wino");
     const int a = algo.alpha;
     const int r = algo.r;
-    winomc_assert(a <= kMaxAlpha, "alpha too large");
+    checkAlpha(a);
     winomc_assert(dw.n() == dW.outChannels() &&
                   dw.c() == dW.inChannels() && dw.h() == r && dw.w() == r,
                   "transformWeightsAdjointInto destination shape mismatch");
@@ -335,1152 +745,54 @@ transformWeightsAdjoint(const WinoWeights &dW, const WinogradAlgo &algo)
     return dw;
 }
 
-void
-elementwiseForwardInto(const WinoTiles &X, const WinoWeights &W,
-                       WinoTiles &Y)
-{
-    WINOMC_SPAN("wino.ew.fwd", "wino");
-    winomc_assert(X.alphaEdge() == W.alphaEdge(),
-                  "algo mismatch between tiles and weights");
-    winomc_assert(X.channels() == W.inChannels(),
-                  "channel mismatch: tiles ", X.channels(), " weights ",
-                  W.inChannels());
-    winomc_assert(Y.alphaEdge() == X.alphaEdge() &&
-                  Y.channels() == W.outChannels() &&
-                  Y.batch() == X.batch() && Y.tiles() == X.tiles(),
-                  "elementwiseForwardInto destination shape mismatch");
-    Y.fill(0.0f); // kernel accumulates into Y
-    const int bt = X.batch() * X.tiles();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const int jBlocks = (nj + kJBlock - 1) / kJBlock;
-    const auto &K = mk::kernels();
-    StageTimer probe("ew.fwd", 2.0 * X.uvCount() * double(nj) * ni * bt);
-
-    // Y[uv] (J x BT) = W[uv] (J x I) * X[uv] (I x BT), parallel over
-    // the uv x J-block output space; each task owns kJBlock Y rows.
-    parallelFor(0, std::int64_t(X.uvCount()) * jBlocks, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t task = lo; task < hi; ++task) {
-            const int uv = int(task / jBlocks);
-            const int j0 = int(task % jBlocks) * kJBlock;
-            const int jn = std::min(kJBlock, nj - j0);
-            float *yrows[kJBlock];
-            for (int jj = 0; jj < jn; ++jj)
-                yrows[jj] = Y.row(uv, j0 + jj);
-            for (int k0 = 0; k0 < bt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, bt - k0);
-                // Register block of kIUnroll input channels: every
-                // Y load/store amortizes kIUnroll FMAs instead of one.
-                for (int i0 = 0; i0 < ni; i0 += kIUnroll) {
-                    const int ib = std::min(kIUnroll, ni - i0);
-                    const float *xr[kIUnroll];
-                    for (int ii = 0; ii < ib; ++ii)
-                        xr[ii] = X.row(uv, i0 + ii) + k0;
-                    for (int jj = 0; jj < jn; ++jj) {
-                        float wv[kIUnroll];
-                        bool any = false;
-                        for (int ii = 0; ii < ib; ++ii) {
-                            wv[ii] = W.at(uv, j0 + jj, i0 + ii);
-                            any = any || wv[ii] != 0.0f;
-                        }
-                        if (!any)
-                            continue; // zero weight block skips wholesale
-                        K.panelAccum(yrows[jj] + k0, xr, wv, ib, kb);
-                    }
-                }
-            }
-        }
-    });
-}
-
 WinoTiles
 elementwiseForward(const WinoTiles &X, const WinoWeights &W)
 {
     WinoTiles Y(X.alphaEdge(), W.outChannels(), X.batch(), X.tiles());
-    elementwiseForwardInto(X, W, Y);
+    stage::ewForward<WinoTiles, false>(
+        X, W, TileRange::whole(X.batch(), X.tiles()), Y);
     return Y;
-}
-
-void
-elementwiseBackwardDataInto(const WinoTiles &dY, const WinoWeights &W,
-                            WinoTiles &dX)
-{
-    WINOMC_SPAN("wino.ew.bwd_data", "wino");
-    winomc_assert(dY.channels() == W.outChannels(),
-                  "channel mismatch in backward data");
-    winomc_assert(dX.alphaEdge() == dY.alphaEdge() &&
-                  dX.channels() == W.inChannels() &&
-                  dX.batch() == dY.batch() && dX.tiles() == dY.tiles(),
-                  "elementwiseBackwardDataInto destination shape mismatch");
-    dX.fill(0.0f); // kernel accumulates into dX
-    const int bt = dY.batch() * dY.tiles();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const int iBlocks = (ni + kJBlock - 1) / kJBlock;
-    const auto &K = mk::kernels();
-    StageTimer probe("ew.bwd_data",
-                     2.0 * dY.uvCount() * double(nj) * ni * bt);
-
-    // dX[uv] (I x BT) = W[uv]^T (I x J) * dY[uv] (J x BT); same blocked
-    // kernel as forward with the roles of I and J swapped. The weight
-    // register block W.at(uv, j, i0..i0+3) is contiguous in memory.
-    parallelFor(0, std::int64_t(dY.uvCount()) * iBlocks, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t task = lo; task < hi; ++task) {
-            const int uv = int(task / iBlocks);
-            const int i0 = int(task % iBlocks) * kJBlock;
-            const int in = std::min(kJBlock, ni - i0);
-            float *dxrows[kJBlock];
-            for (int ii = 0; ii < in; ++ii)
-                dxrows[ii] = dX.row(uv, i0 + ii);
-            for (int k0 = 0; k0 < bt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, bt - k0);
-                // Register block of kIUnroll output channels (the
-                // reduction axis here), mirroring the forward kernel.
-                for (int j0 = 0; j0 < nj; j0 += kIUnroll) {
-                    const int jb = std::min(kIUnroll, nj - j0);
-                    const float *dyr[kIUnroll];
-                    for (int jj = 0; jj < jb; ++jj)
-                        dyr[jj] = dY.row(uv, j0 + jj) + k0;
-                    for (int ii = 0; ii < in; ++ii) {
-                        float wv[kIUnroll];
-                        bool any = false;
-                        for (int jj = 0; jj < jb; ++jj) {
-                            wv[jj] = W.at(uv, j0 + jj, i0 + ii);
-                            any = any || wv[jj] != 0.0f;
-                        }
-                        if (!any)
-                            continue;
-                        K.panelAccum(dxrows[ii] + k0, dyr, wv, jb, kb);
-                    }
-                }
-            }
-        }
-    });
 }
 
 WinoTiles
 elementwiseBackwardData(const WinoTiles &dY, const WinoWeights &W)
 {
     WinoTiles dX(dY.alphaEdge(), W.inChannels(), dY.batch(), dY.tiles());
-    elementwiseBackwardDataInto(dY, W, dX);
+    stage::ewBackwardData(dY, W, TileRange::whole(dY.batch(), dY.tiles()),
+                          dX);
     return dX;
-}
-
-void
-elementwiseGradWeightsInto(const WinoTiles &dY, const WinoTiles &X,
-                           WinoWeights &dW)
-{
-    WINOMC_SPAN("wino.ew.grad_weights", "wino");
-    winomc_assert(dY.batch() == X.batch() && dY.tiles() == X.tiles() &&
-                  dY.alphaEdge() == X.alphaEdge(),
-                  "shape mismatch in weight gradient");
-    winomc_assert(dW.alphaEdge() == X.alphaEdge() &&
-                  dW.outChannels() == dY.channels() &&
-                  dW.inChannels() == X.channels(),
-                  "elementwiseGradWeightsInto destination shape mismatch");
-    const int bt = X.batch() * X.tiles();
-    const int nj = dY.channels();
-    const int ni = X.channels();
-    const int jBlocks = (nj + kJBlock - 1) / kJBlock;
-    const auto &K = mk::kernels();
-    StageTimer probe("ew.grad_weights",
-                     2.0 * X.uvCount() * double(nj) * ni * bt);
-
-    // dW[uv] (J x I) = dY[uv] (J x BT) * X[uv]^T (BT x I). Partitioned
-    // over the *output* (uv, J-block) space: every dW element is owned
-    // by exactly one task and its reduction runs over k in ascending
-    // order, so results are bitwise identical for any thread count.
-    parallelFor(0, std::int64_t(X.uvCount()) * jBlocks, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t task = lo; task < hi; ++task) {
-            const int uv = int(task / jBlocks);
-            const int j0 = int(task % jBlocks) * kJBlock;
-            const int jn = std::min(kJBlock, nj - j0);
-            double acc[kJBlock][kIBlock];
-            for (int i0 = 0; i0 < ni; i0 += kIBlock) {
-                const int in = std::min(kIBlock, ni - i0);
-                for (int jj = 0; jj < jn; ++jj)
-                    for (int ii = 0; ii < in; ++ii)
-                        acc[jj][ii] = 0.0;
-                for (int k0 = 0; k0 < bt; k0 += kKBlock) {
-                    const int kb = std::min(kKBlock, bt - k0);
-                    for (int ii = 0; ii < in; ++ii) {
-                        const float *x = X.row(uv, i0 + ii) + k0;
-                        for (int jj = 0; jj < jn; ++jj) {
-                            const float *dy = dY.row(uv, j0 + jj) + k0;
-                            acc[jj][ii] += K.dotDouble(dy, x, kb);
-                        }
-                    }
-                }
-                for (int jj = 0; jj < jn; ++jj)
-                    for (int ii = 0; ii < in; ++ii)
-                        dW.at(uv, j0 + jj, i0 + ii) =
-                            float(acc[jj][ii]);
-            }
-        }
-    });
 }
 
 WinoWeights
 elementwiseGradWeights(const WinoTiles &dY, const WinoTiles &X)
 {
     WinoWeights dW(X.alphaEdge(), dY.channels(), X.channels());
-    elementwiseGradWeightsInto(dY, X, dW);
+    stage::ewGradWeights(dY, X, dW);
     return dW;
-}
-
-void
-inverseTransformInto(const WinoTiles &Y, const WinogradAlgo &algo,
-                     Tensor &y)
-{
-    WINOMC_SPAN("wino.xform.inverse", "wino");
-    const int h = y.h();
-    const int w = y.w();
-    TileGrid grid(h, w, algo);
-    winomc_assert(grid.tiles() == Y.tiles(),
-                  "tile count mismatch in inverse transform");
-    winomc_assert(y.n() == Y.batch() && y.c() == Y.channels(),
-                  "inverseTransformInto destination shape mismatch");
-    const int a = algo.alpha;
-    const int m = algo.m;
-    const int nc = Y.channels();
-    const int nt = grid.tiles();
-    const auto &K = mk::kernels();
-    const double *AT = algo.AT.data();
-    const double *A = algo.A.data();
-    float *ybase = y.data();
-    const size_t uvStr = Y.uvStride();
-    StageTimer probe("xform.inverse",
-                     2.0 * m * a * (a + m) * double(Y.batch()) * nc * nt);
-
-    parallelFor(0, std::int64_t(Y.batch()) * nc, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        SoaPanel soa;
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-            const int b = int(bc / nc);
-            const int c = int(bc % nc);
-            float *plane = ybase + (size_t(b) * nc + c) * size_t(h) * w;
-            for (int t0 = 0; t0 < nt; t0 += mk::kTilePanel) {
-                const int cnt = std::min(mk::kTilePanel, nt - t0);
-                K.xformFromTiles(AT, m, a, A, a, m, Y.uvBase(c, b, t0),
-                                 uvStr, soa.data(), cnt);
-                int tr[mk::kTilePanel], tc[mk::kTilePanel];
-                for (int l = 0; l < cnt; ++l) {
-                    const int t = t0 + l;
-                    tr[l] = (t / grid.tilesW) * m;
-                    tc[l] = (t % grid.tilesW) * m;
-                }
-                K.unpackTilePanel(plane, h, w, tr, tc, m, m, soa.data(),
-                                  cnt);
-            }
-        }
-    });
 }
 
 Tensor
 inverseTransform(const WinoTiles &Y, const WinogradAlgo &algo, int h,
                  int w)
 {
+    const TileGrid grid(h, w, algo);
+    winomc_assert(grid.tiles() == Y.tiles(),
+                  "tile count mismatch in inverse transform");
     Tensor y(Y.batch(), Y.channels(), h, w);
-    inverseTransformInto(Y, algo, y);
+    stage::scatter({stage::Side::Output, algo, grid}, Y,
+                   TileRange::whole(Y.batch(), grid.tiles()), y);
     return y;
-}
-
-void
-inverseTransformAdjointInto(const Tensor &dy, const WinogradAlgo &algo,
-                            WinoTiles &dY)
-{
-    WINOMC_SPAN("wino.xform.inverse_adjoint", "wino");
-    TileGrid grid(dy.h(), dy.w(), algo);
-    winomc_assert(dY.alphaEdge() == algo.alpha &&
-                  dY.channels() == dy.c() && dY.batch() == dy.n() &&
-                  dY.tiles() == grid.tiles(),
-                  "inverseTransformAdjointInto destination shape mismatch");
-    const int a = algo.alpha;
-    const int m = algo.m;
-    const int nc = dy.c();
-    const int h = dy.h();
-    const int w = dy.w();
-    const int nt = grid.tiles();
-    const auto &K = mk::kernels();
-    const double *A = algo.A.data();
-    const double *AT = algo.AT.data();
-    const float *dybase = dy.data();
-    const size_t uvStr = dY.uvStride();
-    StageTimer probe("xform.inverse_adjoint",
-                     2.0 * m * a * (a + m) * double(dy.n()) * nc * nt);
-
-    parallelFor(0, std::int64_t(dy.n()) * nc, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        SoaPanel soa;
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-            const int b = int(bc / nc);
-            const int c = int(bc % nc);
-            const float *plane =
-                dybase + (size_t(b) * nc + c) * size_t(h) * w;
-            for (int t0 = 0; t0 < nt; t0 += mk::kTilePanel) {
-                const int cnt = std::min(mk::kTilePanel, nt - t0);
-                int tr[mk::kTilePanel], tc[mk::kTilePanel];
-                for (int l = 0; l < cnt; ++l) {
-                    const int t = t0 + l;
-                    tr[l] = (t / grid.tilesW) * m;
-                    tc[l] = (t % grid.tilesW) * m;
-                }
-                K.packTilePanel(soa.data(), plane, h, w, tr, tc, m, m,
-                                cnt);
-                // Adjoint of y = AT Y A is dY = A dy A^T.
-                K.xformToTiles(A, a, m, AT, m, a, soa.data(),
-                               dY.uvBase(c, b, t0), uvStr, cnt);
-            }
-        }
-    });
 }
 
 WinoTiles
 inverseTransformAdjoint(const Tensor &dy, const WinogradAlgo &algo)
 {
-    TileGrid grid(dy.h(), dy.w(), algo);
+    const TileGrid grid(dy.h(), dy.w(), algo);
     WinoTiles dY(algo.alpha, dy.c(), dy.n(), grid.tiles());
-    inverseTransformAdjointInto(dy, algo, dY);
+    stage::gather<WinoTiles, false>(
+        {stage::Side::OutputAdjoint, algo, grid}, dy,
+        TileRange::whole(dy.n(), grid.tiles()), dY);
     return dY;
-}
-
-void
-transformInputStrip(const Tensor &x, const WinogradAlgo &algo,
-                    const TileGrid &grid, int b, int t0, int tcnt,
-                    WinoTiles &Xs)
-{
-    winomc_assert(algo.alpha <= kMaxAlpha, "alpha too large");
-    winomc_assert(Xs.alphaEdge() == algo.alpha && Xs.batch() == 1 &&
-                  Xs.channels() == x.c() && Xs.tiles() >= tcnt,
-                  "transformInputStrip scratch shape mismatch");
-    const int a = algo.alpha;
-    const int nc = x.c();
-    const int h = x.h();
-    const int w = x.w();
-    const auto &K = mk::kernels();
-    const double *BT = algo.BT.data();
-    const double *B = algo.B.data();
-    const size_t uvStr = Xs.uvStride();
-    SoaPanel soa;
-    for (int c = 0; c < nc; ++c) {
-        const float *plane =
-            x.data() + (size_t(b) * nc + c) * size_t(h) * w;
-        for (int p0 = 0; p0 < tcnt; p0 += mk::kTilePanel) {
-            const int cnt = std::min(mk::kTilePanel, tcnt - p0);
-            int tr[mk::kTilePanel], tc[mk::kTilePanel];
-            for (int l = 0; l < cnt; ++l) {
-                const int t = t0 + p0 + l;
-                tr[l] = grid.tileRow(t / grid.tilesW);
-                tc[l] = grid.tileCol(t % grid.tilesW);
-            }
-            K.packTilePanel(soa.data(), plane, h, w, tr, tc, a, a, cnt);
-            K.xformToTiles(BT, a, a, B, a, a, soa.data(),
-                           Xs.uvBase(c, 0, p0), uvStr, cnt);
-        }
-    }
-}
-
-void
-elementwiseForwardStrip(const WinoTiles &Xs, const WinoWeights &W,
-                        int tcnt, WinoTiles &Ys)
-{
-    winomc_assert(Xs.channels() == W.inChannels() &&
-                  Ys.channels() == W.outChannels() &&
-                  Xs.tiles() >= tcnt && Ys.tiles() >= tcnt,
-                  "elementwiseForwardStrip shape mismatch");
-    const int a2 = Xs.uvCount();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const auto &K = mk::kernels();
-
-    // Same register blocking as elementwiseForwardInto with the
-    // streamed axis cut down to the strip; per-element arithmetic is
-    // unchanged, so the result is bitwise identical to the staged path.
-    for (int uv = 0; uv < a2; ++uv) {
-        for (int j0 = 0; j0 < nj; j0 += kJBlock) {
-            const int jn = std::min(kJBlock, nj - j0);
-            float *yrows[kJBlock];
-            for (int jj = 0; jj < jn; ++jj) {
-                yrows[jj] = Ys.row(uv, j0 + jj);
-                std::fill(yrows[jj], yrows[jj] + tcnt, 0.0f);
-            }
-            for (int k0 = 0; k0 < tcnt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, tcnt - k0);
-                for (int i0 = 0; i0 < ni; i0 += kIUnroll) {
-                    const int ib = std::min(kIUnroll, ni - i0);
-                    const float *xr[kIUnroll];
-                    for (int ii = 0; ii < ib; ++ii)
-                        xr[ii] = Xs.row(uv, i0 + ii) + k0;
-                    for (int jj = 0; jj < jn; ++jj) {
-                        float wv[kIUnroll];
-                        bool any = false;
-                        for (int ii = 0; ii < ib; ++ii) {
-                            wv[ii] = W.at(uv, j0 + jj, i0 + ii);
-                            any = any || wv[ii] != 0.0f;
-                        }
-                        if (!any)
-                            continue;
-                        K.panelAccum(yrows[jj] + k0, xr, wv, ib, kb);
-                    }
-                }
-            }
-        }
-    }
-}
-
-void
-inverseTransformStrip(const WinoTiles &Ys, const WinogradAlgo &algo,
-                      const TileGrid &grid, int b, int t0, int tcnt,
-                      Tensor &y)
-{
-    winomc_assert(Ys.alphaEdge() == algo.alpha && Ys.batch() == 1 &&
-                  Ys.channels() == y.c() && Ys.tiles() >= tcnt,
-                  "inverseTransformStrip scratch shape mismatch");
-    const int a = algo.alpha;
-    const int m = algo.m;
-    const int nc = y.c();
-    const int h = y.h();
-    const int w = y.w();
-    const auto &K = mk::kernels();
-    const double *AT = algo.AT.data();
-    const double *A = algo.A.data();
-    const size_t uvStr = Ys.uvStride();
-    SoaPanel soa;
-    for (int c = 0; c < nc; ++c) {
-        float *plane = y.data() + (size_t(b) * nc + c) * size_t(h) * w;
-        for (int p0 = 0; p0 < tcnt; p0 += mk::kTilePanel) {
-            const int cnt = std::min(mk::kTilePanel, tcnt - p0);
-            K.xformFromTiles(AT, m, a, A, a, m, Ys.uvBase(c, 0, p0),
-                             uvStr, soa.data(), cnt);
-            int tr[mk::kTilePanel], tc[mk::kTilePanel];
-            for (int l = 0; l < cnt; ++l) {
-                const int t = t0 + p0 + l;
-                tr[l] = (t / grid.tilesW) * m;
-                tc[l] = (t % grid.tilesW) * m;
-            }
-            K.unpackTilePanel(plane, h, w, tr, tc, m, m, soa.data(),
-                              cnt);
-        }
-    }
-}
-
-void
-inverseTransformAdjointStrip(const Tensor &dy, const WinogradAlgo &algo,
-                             const TileGrid &grid, int b, int t0,
-                             int tcnt, WinoTiles &dYs)
-{
-    winomc_assert(dYs.alphaEdge() == algo.alpha && dYs.batch() == 1 &&
-                  dYs.channels() == dy.c() && dYs.tiles() >= tcnt,
-                  "inverseTransformAdjointStrip scratch shape mismatch");
-    const int a = algo.alpha;
-    const int m = algo.m;
-    const int nc = dy.c();
-    const int h = dy.h();
-    const int w = dy.w();
-    const auto &K = mk::kernels();
-    const double *A = algo.A.data();
-    const double *AT = algo.AT.data();
-    const size_t uvStr = dYs.uvStride();
-    SoaPanel soa;
-    for (int c = 0; c < nc; ++c) {
-        const float *plane =
-            dy.data() + (size_t(b) * nc + c) * size_t(h) * w;
-        for (int p0 = 0; p0 < tcnt; p0 += mk::kTilePanel) {
-            const int cnt = std::min(mk::kTilePanel, tcnt - p0);
-            int tr[mk::kTilePanel], tc[mk::kTilePanel];
-            for (int l = 0; l < cnt; ++l) {
-                const int t = t0 + p0 + l;
-                tr[l] = (t / grid.tilesW) * m;
-                tc[l] = (t % grid.tilesW) * m;
-            }
-            K.packTilePanel(soa.data(), plane, h, w, tr, tc, m, m, cnt);
-            // Adjoint of y = AT Y A is dY = A dy A^T.
-            K.xformToTiles(A, a, m, AT, m, a, soa.data(),
-                           dYs.uvBase(c, 0, p0), uvStr, cnt);
-        }
-    }
-}
-
-void
-elementwiseBackwardDataStrip(const WinoTiles &dYs, const WinoWeights &W,
-                             int tcnt, WinoTiles &dXs)
-{
-    winomc_assert(dYs.channels() == W.outChannels() &&
-                  dXs.channels() == W.inChannels() &&
-                  dYs.tiles() >= tcnt && dXs.tiles() >= tcnt,
-                  "elementwiseBackwardDataStrip shape mismatch");
-    const int a2 = dYs.uvCount();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const auto &K = mk::kernels();
-
-    for (int uv = 0; uv < a2; ++uv) {
-        for (int i0 = 0; i0 < ni; i0 += kJBlock) {
-            const int in = std::min(kJBlock, ni - i0);
-            float *dxrows[kJBlock];
-            for (int ii = 0; ii < in; ++ii) {
-                dxrows[ii] = dXs.row(uv, i0 + ii);
-                std::fill(dxrows[ii], dxrows[ii] + tcnt, 0.0f);
-            }
-            for (int k0 = 0; k0 < tcnt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, tcnt - k0);
-                for (int j0 = 0; j0 < nj; j0 += kIUnroll) {
-                    const int jb = std::min(kIUnroll, nj - j0);
-                    const float *dyr[kIUnroll];
-                    for (int jj = 0; jj < jb; ++jj)
-                        dyr[jj] = dYs.row(uv, j0 + jj) + k0;
-                    for (int ii = 0; ii < in; ++ii) {
-                        float wv[kIUnroll];
-                        bool any = false;
-                        for (int jj = 0; jj < jb; ++jj) {
-                            wv[jj] = W.at(uv, j0 + jj, i0 + ii);
-                            any = any || wv[jj] != 0.0f;
-                        }
-                        if (!any)
-                            continue;
-                        K.panelAccum(dxrows[ii] + k0, dyr, wv, jb, kb);
-                    }
-                }
-            }
-        }
-    }
-}
-
-void
-transformInputAdjointStripAdd(const WinoTiles &dXs,
-                              const WinogradAlgo &algo,
-                              const TileGrid &grid, int b, int t0,
-                              int tcnt, Tensor &dx)
-{
-    winomc_assert(dXs.alphaEdge() == algo.alpha && dXs.batch() == 1 &&
-                  dXs.channels() == dx.c() && dXs.tiles() >= tcnt,
-                  "transformInputAdjointStripAdd scratch shape mismatch");
-    const int a = algo.alpha;
-    const int nc = dx.c();
-    const int h = dx.h();
-    const int w = dx.w();
-    const auto &K = mk::kernels();
-    const double *B = algo.B.data();
-    const double *BT = algo.BT.data();
-    const size_t uvStr = dXs.uvStride();
-    SoaPanel soa;
-    for (int c = 0; c < nc; ++c) {
-        float *plane = dx.data() + (size_t(b) * nc + c) * size_t(h) * w;
-        for (int p0 = 0; p0 < tcnt; p0 += mk::kTilePanel) {
-            const int cnt = std::min(mk::kTilePanel, tcnt - p0);
-            // Adjoint of X = BT x B is dx = B dX B^T.
-            K.xformFromTiles(B, a, a, BT, a, a, dXs.uvBase(c, 0, p0),
-                             uvStr, soa.data(), cnt);
-            int tr[mk::kTilePanel], tc[mk::kTilePanel];
-            for (int l = 0; l < cnt; ++l) {
-                const int t = t0 + p0 + l;
-                tr[l] = grid.tileRow(t / grid.tilesW);
-                tc[l] = grid.tileCol(t % grid.tilesW);
-            }
-            K.unpackAddTilePanel(plane, h, w, tr, tc, a, a, soa.data(),
-                                 cnt);
-        }
-    }
-}
-
-namespace {
-
-/**
- * Task-local tallies behind the quant.* counters: accumulated in
- * registers inside the parallel loops, published once per task so the
- * metrics registry mutex never sits on the hot path.
- */
-struct SparseTally
-{
-    double rowsTotal = 0.0;
-    double rowsSkipped = 0.0;
-    double flopsSkipped = 0.0;
-
-    void
-    publish() const
-    {
-        if (!metrics::enabled() || rowsTotal == 0.0)
-            return;
-        metrics::counterAdd("quant.ew.rows_total", rowsTotal);
-        metrics::counterAdd("quant.ew.rows_skipped", rowsSkipped);
-        metrics::counterAdd("quant.ew.flops_skipped", flopsSkipped);
-    }
-};
-
-/** Mask-build tallies (quant.mask.*), same per-task discipline. */
-struct MaskTally
-{
-    double panelsTotal = 0.0;
-    double panelsZero = 0.0;
-
-    void
-    add(std::uint64_t zeroBits, int uvCount)
-    {
-        panelsTotal += uvCount;
-        panelsZero += __builtin_popcountll(zeroBits);
-    }
-    void
-    publish() const
-    {
-        if (!metrics::enabled() || panelsTotal == 0.0)
-            return;
-        metrics::counterAdd("quant.mask.panels_total", panelsTotal);
-        metrics::counterAdd("quant.mask.panels_zero", panelsZero);
-    }
-};
-
-} // namespace
-
-void
-transformInputMaskInto(const Tensor &x, const WinogradAlgo &algo,
-                       WinoTiles &out, ActMask &mask)
-{
-    WINOMC_SPAN("wino.xform.input", "wino");
-    winomc_assert(algo.alpha <= kMaxAlpha, "alpha too large");
-    TileGrid grid(x.h(), x.w(), algo);
-    winomc_assert(out.alphaEdge() == algo.alpha &&
-                  out.channels() == x.c() && out.batch() == x.n() &&
-                  out.tiles() == grid.tiles(),
-                  "transformInputMaskInto destination shape mismatch");
-
-    const int a = algo.alpha;
-    const int nc = x.c();
-    const int h = x.h();
-    const int w = x.w();
-    const int nt = grid.tiles();
-    const auto &K = mk::kernels();
-    const double *BT = algo.BT.data();
-    const double *B = algo.B.data();
-    const float *xbase = x.data();
-    const size_t uvStr = out.uvStride();
-    StageTimer probe("xform.input",
-                     4.0 * a * a * a * double(x.n()) * nc * nt);
-
-    // Identical gather/transform arithmetic to transformInputInto; the
-    // only addition is the per-panel zero scan of the just-written
-    // (L1-hot) SoA output into `mask`. Each (b, c) plane region has
-    // exactly one writer, so the plane-local clear + OR is race-free.
-    parallelFor(0, std::int64_t(x.n()) * nc, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        SoaPanel soa;
-        MaskTally tally;
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-            const int b = int(bc / nc);
-            const int c = int(bc % nc);
-            const float *plane =
-                xbase + (size_t(b) * nc + c) * size_t(h) * w;
-            std::uint64_t *mreg = mask.plane(c, b);
-            std::fill(mreg, mreg + mask.wordsPerPlane(), 0);
-            for (int t0 = 0; t0 < nt; t0 += mk::kTilePanel) {
-                const int cnt = std::min(mk::kTilePanel, nt - t0);
-                int tr[mk::kTilePanel], tc[mk::kTilePanel];
-                for (int l = 0; l < cnt; ++l) {
-                    const int t = t0 + l;
-                    tr[l] = grid.tileRow(t / grid.tilesW);
-                    tc[l] = grid.tileCol(t % grid.tilesW);
-                }
-                K.packTilePanel(soa.data(), plane, h, w, tr, tc, a, a,
-                                cnt);
-                K.xformToTiles(BT, a, a, B, a, a, soa.data(),
-                               out.uvBase(c, b, t0), uvStr, cnt);
-                const std::uint64_t zm = K.panelZeroMask(
-                    out.uvBase(c, b, t0), uvStr, a * a, cnt);
-                mask.orPanelBits(c, b, t0 / mk::kTilePanel, zm);
-                tally.add(zm, a * a);
-            }
-        }
-        tally.publish();
-    });
-}
-
-void
-transformInputHalfInto(const Tensor &x, const WinogradAlgo &algo,
-                       HalfTiles &out, int halfKind, ActMask *mask)
-{
-    WINOMC_SPAN("wino.xform.input", "wino");
-    winomc_assert(algo.alpha <= kMaxAlpha, "alpha too large");
-    TileGrid grid(x.h(), x.w(), algo);
-    winomc_assert(out.alphaEdge() == algo.alpha &&
-                  out.channels() == x.c() && out.batch() == x.n() &&
-                  out.tiles() == grid.tiles(),
-                  "transformInputHalfInto destination shape mismatch");
-
-    const int a = algo.alpha;
-    const int nc = x.c();
-    const int h = x.h();
-    const int w = x.w();
-    const int nt = grid.tiles();
-    const auto &K = mk::kernels();
-    const double *BT = algo.BT.data();
-    const double *B = algo.B.data();
-    const float *xbase = x.data();
-    const size_t uvStr = out.uvStride();
-    StageTimer probe("xform.input",
-                     4.0 * a * a * a * double(x.n()) * nc * nt);
-
-    parallelFor(0, std::int64_t(x.n()) * nc, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        SoaPanel soa;
-        MaskTally tally;
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-            const int b = int(bc / nc);
-            const int c = int(bc % nc);
-            const float *plane =
-                xbase + (size_t(b) * nc + c) * size_t(h) * w;
-            if (mask) {
-                std::uint64_t *mreg = mask->plane(c, b);
-                std::fill(mreg, mreg + mask->wordsPerPlane(), 0);
-            }
-            for (int t0 = 0; t0 < nt; t0 += mk::kTilePanel) {
-                const int cnt = std::min(mk::kTilePanel, nt - t0);
-                int tr[mk::kTilePanel], tc[mk::kTilePanel];
-                for (int l = 0; l < cnt; ++l) {
-                    const int t = t0 + l;
-                    tr[l] = grid.tileRow(t / grid.tilesW);
-                    tc[l] = grid.tileCol(t % grid.tilesW);
-                }
-                K.packTilePanel(soa.data(), plane, h, w, tr, tc, a, a,
-                                cnt);
-                K.xformToTilesHalf(BT, a, a, B, a, a, soa.data(),
-                                   out.uvBase(c, b, t0), uvStr, cnt,
-                                   halfKind);
-                if (mask) {
-                    const std::uint64_t zm = K.panelZeroMaskHalf(
-                        out.uvBase(c, b, t0), uvStr, a * a, cnt);
-                    mask->orPanelBits(c, b, t0 / mk::kTilePanel, zm);
-                    tally.add(zm, a * a);
-                }
-            }
-        }
-        tally.publish();
-    });
-}
-
-void
-elementwiseForwardSparseInto(const WinoTiles &X, const WinoWeights &W,
-                             WinoTiles &Y, const ActMask &mask)
-{
-    WINOMC_SPAN("wino.ew.fwd", "wino");
-    winomc_assert(X.alphaEdge() == W.alphaEdge(),
-                  "algo mismatch between tiles and weights");
-    winomc_assert(X.channels() == W.inChannels(),
-                  "channel mismatch: tiles ", X.channels(), " weights ",
-                  W.inChannels());
-    winomc_assert(Y.alphaEdge() == X.alphaEdge() &&
-                  Y.channels() == W.outChannels() &&
-                  Y.batch() == X.batch() && Y.tiles() == X.tiles(),
-                  "elementwiseForwardSparseInto destination shape mismatch");
-    Y.fill(0.0f); // kernel accumulates into Y
-    const int bt = X.batch() * X.tiles();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const int jBlocks = (nj + kJBlock - 1) / kJBlock;
-    const auto &K = mk::kernels();
-    StageTimer probe("ew.fwd", 2.0 * X.uvCount() * double(nj) * ni * bt);
-
-    // Resolve the mask once into a per-(uv, row, k-block) byte table.
-    // Every J-block task over one uv needs the same row liveness, so
-    // querying the bit-packed mask from the GEMM inner loop would
-    // repeat the panel walk jBlocks times per row — measured at this
-    // granularity the walk itself, not the skipped FLOPs, dominates.
-    const int kBlocks = (bt + kKBlock - 1) / kKBlock;
-    std::vector<std::uint8_t> rowLive(std::size_t(X.uvCount()) * ni *
-                                      kBlocks);
-    parallelFor(0, X.uvCount(), 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t uv = lo; uv < hi; ++uv)
-            for (int kb = 0; kb < kBlocks; ++kb) {
-                const int k0 = kb * kKBlock;
-                const int kn = std::min(kKBlock, bt - k0);
-                // Unit stride in i: the compaction scan walks this.
-                std::uint8_t *dst = rowLive.data() +
-                                    (uv * kBlocks + kb) * ni;
-                for (int i = 0; i < ni; ++i)
-                    dst[i] = !mask.rowRangeZero(int(uv), i, k0, kn);
-            }
-    });
-
-    // Same task partition as elementwiseForwardInto, but the i-loop is
-    // fully compacted per output row: every surviving (weight nonzero
-    // AND activation range live) input row of the whole column goes
-    // into one panelAccumGrouped call, so each y panel is read and
-    // written once instead of ni/kIUnroll times. The group descriptor
-    // preserves the blocked kernel's per-register-block expression
-    // shapes, keeping the result bitwise identical to dense fp32. The
-    // append is branchless (slot always written, cursor advances only
-    // for survivors) — at high sparsity the scan itself is the cost,
-    // and a skipped-row branch mispredicts by construction.
-    const std::size_t xrs = X.uvStride() / std::size_t(X.channels());
-    parallelFor(0, std::int64_t(X.uvCount()) * jBlocks, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        SparseTally tally;
-        std::vector<const float *> xc(static_cast<std::size_t>(ni));
-        std::vector<float> wc(static_cast<std::size_t>(ni));
-        std::vector<std::uint8_t> grp(
-            static_cast<std::size_t>((ni + kIUnroll - 1) / kIUnroll));
-        for (std::int64_t task = lo; task < hi; ++task) {
-            const int uv = int(task / jBlocks);
-            const int j0 = int(task % jBlocks) * kJBlock;
-            const int jn = std::min(kJBlock, nj - j0);
-            const float *xuv = X.row(uv, 0);
-            for (int k0 = 0; k0 < bt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, bt - k0);
-                const std::uint8_t *live =
-                    rowLive.data() +
-                    (std::size_t(uv) * kBlocks + k0 / kKBlock) * ni;
-                for (int jj = 0; jj < jn; ++jj) {
-                    const float *wrow =
-                        W.raw() +
-                        (std::size_t(uv) * nj + j0 + jj) * ni;
-                    int nv = 0, ng = 0, tailOrig = kIUnroll;
-                    for (int i0 = 0; i0 < ni; i0 += kIUnroll) {
-                        const int ib = std::min(kIUnroll, ni - i0);
-                        const int base = nv;
-                        for (int ii = 0; ii < ib; ++ii) {
-                            const int i = i0 + ii;
-                            const float wval = wrow[i];
-                            wc[std::size_t(nv)] = wval;
-                            xc[std::size_t(nv)] =
-                                xuv + std::size_t(i) * xrs + k0;
-                            nv += int(wval != 0.0f) & int(live[i]);
-                        }
-                        if (nv != base) {
-                            grp[std::size_t(ng++)] =
-                                std::uint8_t(nv - base);
-                            tailOrig = ib;
-                        }
-                    }
-                    tally.rowsTotal += ni;
-                    tally.rowsSkipped += ni - nv;
-                    tally.flopsSkipped += 2.0 * (ni - nv) * kb;
-                    if (nv == 0)
-                        continue;
-                    K.panelAccumGrouped(Y.row(uv, j0 + jj) + k0,
-                                        xc.data(), wc.data(), nv, kb,
-                                        grp.data(), ng, tailOrig);
-                }
-            }
-        }
-        tally.publish();
-    });
-}
-
-void
-elementwiseForwardHalfInto(const HalfTiles &X, const WinoWeights &W,
-                           WinoTiles &Y, int halfKind,
-                           const ActMask *mask)
-{
-    WINOMC_SPAN("wino.ew.fwd", "wino");
-    winomc_assert(X.alphaEdge() == W.alphaEdge(),
-                  "algo mismatch between tiles and weights");
-    winomc_assert(X.channels() == W.inChannels(),
-                  "channel mismatch: tiles ", X.channels(), " weights ",
-                  W.inChannels());
-    winomc_assert(Y.alphaEdge() == X.alphaEdge() &&
-                  Y.channels() == W.outChannels() &&
-                  Y.batch() == X.batch() && Y.tiles() == X.tiles(),
-                  "elementwiseForwardHalfInto destination shape mismatch");
-    Y.fill(0.0f);
-    const int bt = X.batch() * X.tiles();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const int jBlocks = (nj + kJBlock - 1) / kJBlock;
-    const auto &K = mk::kernels();
-    StageTimer probe("ew.fwd", 2.0 * X.uvCount() * double(nj) * ni * bt);
-
-    // Mask resolved up front, as in elementwiseForwardSparseInto: one
-    // panel walk per (uv, row, k-block) instead of one per J-block.
-    const int kBlocks = (bt + kKBlock - 1) / kKBlock;
-    std::vector<std::uint8_t> rowLive;
-    if (mask) {
-        rowLive.resize(std::size_t(X.uvCount()) * ni * kBlocks);
-        parallelFor(0, X.uvCount(), 1,
-                    [&](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t uv = lo; uv < hi; ++uv)
-                for (int kb = 0; kb < kBlocks; ++kb) {
-                    const int k0 = kb * kKBlock;
-                    const int kn = std::min(kKBlock, bt - k0);
-                    std::uint8_t *dst = rowLive.data() +
-                                        (uv * kBlocks + kb) * ni;
-                    for (int i = 0; i < ni; ++i)
-                        dst[i] =
-                            !mask->rowRangeZero(int(uv), i, k0, kn);
-                }
-        });
-    } else {
-        // No activation mask: every row is live; keeps the scan below
-        // branch-free either way.
-        rowLive.assign(std::size_t(X.uvCount()) * ni * kBlocks, 1);
-    }
-
-    // The half kernel accumulates per-row sequentially at every ISA
-    // level, so the whole input-channel column can be compacted into
-    // ONE panelAccumHalf call per y panel — same FMA chain as the
-    // blocked calls, one y pass instead of ni/kIUnroll — without an
-    // expression-shape switch. Branchless append as in the fp32 sparse
-    // kernel.
-    const std::size_t xrs = std::size_t(X.batch()) * X.tiles();
-    parallelFor(0, std::int64_t(X.uvCount()) * jBlocks, 1,
-                [&](std::int64_t lo, std::int64_t hi) {
-        SparseTally tally;
-        std::vector<const std::uint16_t *> xc(static_cast<std::size_t>(ni));
-        std::vector<float> wc(static_cast<std::size_t>(ni));
-        for (std::int64_t task = lo; task < hi; ++task) {
-            const int uv = int(task / jBlocks);
-            const int j0 = int(task % jBlocks) * kJBlock;
-            const int jn = std::min(kJBlock, nj - j0);
-            const std::uint16_t *xuv = X.row(uv, 0);
-            for (int k0 = 0; k0 < bt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, bt - k0);
-                const std::uint8_t *live =
-                    rowLive.data() +
-                    (std::size_t(uv) * kBlocks + k0 / kKBlock) * ni;
-                for (int jj = 0; jj < jn; ++jj) {
-                    const float *wrow =
-                        W.raw() +
-                        (std::size_t(uv) * nj + j0 + jj) * ni;
-                    int nv = 0;
-                    for (int i = 0; i < ni; ++i) {
-                        const float wval = wrow[i];
-                        wc[std::size_t(nv)] = wval;
-                        xc[std::size_t(nv)] =
-                            xuv + std::size_t(i) * xrs + k0;
-                        nv += int(wval != 0.0f) & int(live[i]);
-                    }
-                    if (mask) {
-                        tally.rowsTotal += ni;
-                        tally.rowsSkipped += ni - nv;
-                        tally.flopsSkipped += 2.0 * (ni - nv) * kb;
-                    }
-                    if (nv == 0)
-                        continue;
-                    K.panelAccumHalf(Y.row(uv, j0 + jj) + k0,
-                                     xc.data(), wc.data(), nv, kb,
-                                     halfKind);
-                }
-            }
-        }
-        tally.publish();
-    });
-}
-
-void
-transformInputStripMask(const Tensor &x, const WinogradAlgo &algo,
-                        const TileGrid &grid, int b, int t0, int tcnt,
-                        WinoTiles &Xs, ActMask &mask)
-{
-    winomc_assert(algo.alpha <= kMaxAlpha, "alpha too large");
-    winomc_assert(Xs.alphaEdge() == algo.alpha && Xs.batch() == 1 &&
-                  Xs.channels() == x.c() && Xs.tiles() >= tcnt,
-                  "transformInputStripMask scratch shape mismatch");
-    const int a = algo.alpha;
-    const int nc = x.c();
-    const int h = x.h();
-    const int w = x.w();
-    const auto &K = mk::kernels();
-    const double *BT = algo.BT.data();
-    const double *B = algo.B.data();
-    const size_t uvStr = Xs.uvStride();
-    SoaPanel soa;
-    for (int c = 0; c < nc; ++c) {
-        const float *plane =
-            x.data() + (size_t(b) * nc + c) * size_t(h) * w;
-        std::uint64_t *mreg = mask.plane(c, 0);
-        std::fill(mreg, mreg + mask.wordsPerPlane(), 0);
-        for (int p0 = 0; p0 < tcnt; p0 += mk::kTilePanel) {
-            const int cnt = std::min(mk::kTilePanel, tcnt - p0);
-            int tr[mk::kTilePanel], tc[mk::kTilePanel];
-            for (int l = 0; l < cnt; ++l) {
-                const int t = t0 + p0 + l;
-                tr[l] = grid.tileRow(t / grid.tilesW);
-                tc[l] = grid.tileCol(t % grid.tilesW);
-            }
-            K.packTilePanel(soa.data(), plane, h, w, tr, tc, a, a, cnt);
-            K.xformToTiles(BT, a, a, B, a, a, soa.data(),
-                           Xs.uvBase(c, 0, p0), uvStr, cnt);
-            mask.orPanelBits(c, 0, p0 / mk::kTilePanel,
-                             K.panelZeroMask(Xs.uvBase(c, 0, p0), uvStr,
-                                             a * a, cnt));
-        }
-    }
-}
-
-void
-transformInputStripHalf(const Tensor &x, const WinogradAlgo &algo,
-                        const TileGrid &grid, int b, int t0, int tcnt,
-                        HalfTiles &Xs, int halfKind, ActMask *mask)
-{
-    winomc_assert(algo.alpha <= kMaxAlpha, "alpha too large");
-    winomc_assert(Xs.alphaEdge() == algo.alpha && Xs.batch() == 1 &&
-                  Xs.channels() == x.c() && Xs.tiles() >= tcnt,
-                  "transformInputStripHalf scratch shape mismatch");
-    const int a = algo.alpha;
-    const int nc = x.c();
-    const int h = x.h();
-    const int w = x.w();
-    const auto &K = mk::kernels();
-    const double *BT = algo.BT.data();
-    const double *B = algo.B.data();
-    const size_t uvStr = Xs.uvStride();
-    SoaPanel soa;
-    for (int c = 0; c < nc; ++c) {
-        const float *plane =
-            x.data() + (size_t(b) * nc + c) * size_t(h) * w;
-        if (mask) {
-            std::uint64_t *mreg = mask->plane(c, 0);
-            std::fill(mreg, mreg + mask->wordsPerPlane(), 0);
-        }
-        for (int p0 = 0; p0 < tcnt; p0 += mk::kTilePanel) {
-            const int cnt = std::min(mk::kTilePanel, tcnt - p0);
-            int tr[mk::kTilePanel], tc[mk::kTilePanel];
-            for (int l = 0; l < cnt; ++l) {
-                const int t = t0 + p0 + l;
-                tr[l] = grid.tileRow(t / grid.tilesW);
-                tc[l] = grid.tileCol(t % grid.tilesW);
-            }
-            K.packTilePanel(soa.data(), plane, h, w, tr, tc, a, a, cnt);
-            K.xformToTilesHalf(BT, a, a, B, a, a, soa.data(),
-                               Xs.uvBase(c, 0, p0), uvStr, cnt,
-                               halfKind);
-            if (mask)
-                mask->orPanelBits(
-                    c, 0, p0 / mk::kTilePanel,
-                    K.panelZeroMaskHalf(Xs.uvBase(c, 0, p0), uvStr,
-                                        a * a, cnt));
-        }
-    }
-}
-
-void
-elementwiseForwardStripSparse(const WinoTiles &Xs, const WinoWeights &W,
-                              int tcnt, WinoTiles &Ys,
-                              const ActMask &mask)
-{
-    winomc_assert(Xs.channels() == W.inChannels() &&
-                  Ys.channels() == W.outChannels() &&
-                  Xs.tiles() >= tcnt && Ys.tiles() >= tcnt,
-                  "elementwiseForwardStripSparse shape mismatch");
-    const int a2 = Xs.uvCount();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const auto &K = mk::kernels();
-
-    // Strip-serial mirror of elementwiseForwardSparseInto: same
-    // whole-column compaction and group descriptor, so fused sparse
-    // stays bitwise identical to staged sparse (and to dense fp32).
-    std::vector<const float *> xc(static_cast<std::size_t>(ni));
-    std::vector<float> wc(static_cast<std::size_t>(ni));
-    std::vector<std::uint8_t> grp(
-        static_cast<std::size_t>((ni + kIUnroll - 1) / kIUnroll));
-    std::vector<std::uint8_t> live(static_cast<std::size_t>(ni));
-    const std::size_t xrs = Xs.uvStride() / std::size_t(Xs.channels());
-    for (int uv = 0; uv < a2; ++uv) {
-        const float *xuv = Xs.row(uv, 0);
-        for (int j0 = 0; j0 < nj; j0 += kJBlock) {
-            const int jn = std::min(kJBlock, nj - j0);
-            float *yrows[kJBlock];
-            for (int jj = 0; jj < jn; ++jj) {
-                yrows[jj] = Ys.row(uv, j0 + jj);
-                std::fill(yrows[jj], yrows[jj] + tcnt, 0.0f);
-            }
-            for (int k0 = 0; k0 < tcnt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, tcnt - k0);
-                for (int i = 0; i < ni; ++i)
-                    live[std::size_t(i)] =
-                        !mask.rowRangeZero(uv, i, k0, kb);
-                for (int jj = 0; jj < jn; ++jj) {
-                    const float *wrow =
-                        W.raw() +
-                        (std::size_t(uv) * nj + j0 + jj) * ni;
-                    int nv = 0, ng = 0, tailOrig = kIUnroll;
-                    for (int i0 = 0; i0 < ni; i0 += kIUnroll) {
-                        const int ib = std::min(kIUnroll, ni - i0);
-                        const int base = nv;
-                        for (int ii = 0; ii < ib; ++ii) {
-                            const int i = i0 + ii;
-                            const float wval = wrow[i];
-                            wc[std::size_t(nv)] = wval;
-                            xc[std::size_t(nv)] =
-                                xuv + std::size_t(i) * xrs + k0;
-                            nv += int(wval != 0.0f) &
-                                  int(live[std::size_t(i)]);
-                        }
-                        if (nv != base) {
-                            grp[std::size_t(ng++)] =
-                                std::uint8_t(nv - base);
-                            tailOrig = ib;
-                        }
-                    }
-                    if (nv == 0)
-                        continue;
-                    K.panelAccumGrouped(yrows[jj] + k0, xc.data(),
-                                        wc.data(), nv, kb, grp.data(),
-                                        ng, tailOrig);
-                }
-            }
-        }
-    }
-}
-
-void
-elementwiseForwardStripHalf(const HalfTiles &Xs, const WinoWeights &W,
-                            int tcnt, WinoTiles &Ys, int halfKind,
-                            const ActMask *mask)
-{
-    winomc_assert(Xs.channels() == W.inChannels() &&
-                  Ys.channels() == W.outChannels() &&
-                  Xs.tiles() >= tcnt && Ys.tiles() >= tcnt,
-                  "elementwiseForwardStripHalf shape mismatch");
-    const int a2 = Xs.uvCount();
-    const int nj = W.outChannels();
-    const int ni = W.inChannels();
-    const auto &K = mk::kernels();
-
-    // Whole-column compaction as in elementwiseForwardHalfInto: the
-    // half kernel's sequential per-row chain makes the merge bitwise
-    // free, and each y panel is touched once per k-block.
-    std::vector<const std::uint16_t *> xc(static_cast<std::size_t>(ni));
-    std::vector<float> wc(static_cast<std::size_t>(ni));
-    std::vector<std::uint8_t> live(static_cast<std::size_t>(ni));
-    const std::size_t xrs = std::size_t(Xs.batch()) * Xs.tiles();
-    for (int uv = 0; uv < a2; ++uv) {
-        const std::uint16_t *xuv = Xs.row(uv, 0);
-        for (int j0 = 0; j0 < nj; j0 += kJBlock) {
-            const int jn = std::min(kJBlock, nj - j0);
-            float *yrows[kJBlock];
-            for (int jj = 0; jj < jn; ++jj) {
-                yrows[jj] = Ys.row(uv, j0 + jj);
-                std::fill(yrows[jj], yrows[jj] + tcnt, 0.0f);
-            }
-            for (int k0 = 0; k0 < tcnt; k0 += kKBlock) {
-                const int kb = std::min(kKBlock, tcnt - k0);
-                for (int i = 0; i < ni; ++i)
-                    live[std::size_t(i)] =
-                        !mask || !mask->rowRangeZero(uv, i, k0, kb);
-                for (int jj = 0; jj < jn; ++jj) {
-                    const float *wrow =
-                        W.raw() +
-                        (std::size_t(uv) * nj + j0 + jj) * ni;
-                    int nv = 0;
-                    for (int i = 0; i < ni; ++i) {
-                        const float wval = wrow[i];
-                        wc[std::size_t(nv)] = wval;
-                        xc[std::size_t(nv)] =
-                            xuv + std::size_t(i) * xrs + k0;
-                        nv += int(wval != 0.0f) &
-                              int(live[std::size_t(i)]);
-                    }
-                    if (nv == 0)
-                        continue;
-                    K.panelAccumHalf(yrows[jj] + k0, xc.data(),
-                                     wc.data(), nv, kb, halfKind);
-                }
-            }
-        }
-    }
 }
 
 Tensor

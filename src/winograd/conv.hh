@@ -18,7 +18,6 @@
 
 #include "tensor/tensor.hh"
 #include "winograd/algo.hh"
-#include "winograd/lowprec.hh"
 #include "winograd/tiling.hh"
 
 namespace winomc {
@@ -67,139 +66,17 @@ Tensor inverseTransform(const WinoTiles &Y, const WinogradAlgo &algo,
 WinoTiles inverseTransformAdjoint(const Tensor &dy,
                                   const WinogradAlgo &algo);
 
-// ---------------------------------------------------------------------
-// Destination-passing stage kernels
-//
-// The value-returning stage functions above are thin wrappers over
-// these: the caller owns the (pre-shaped) destination, so execution
-// plans (winograd/plan.hh) can reuse workspace slabs across batches
-// with zero steady-state allocation. Destinations that the kernels
-// accumulate into (elementwiseForwardInto, elementwiseBackwardDataInto,
-// transformInputAdjointInto) are zero-filled on entry; the others are
-// fully assigned. Results are bitwise identical to the value-returning
-// forms for any thread count.
-// ---------------------------------------------------------------------
-
-void transformInputInto(const Tensor &x, const WinogradAlgo &algo,
-                        WinoTiles &out);
-/** Spatial size is taken from the pre-shaped dx. */
-void transformInputAdjointInto(const WinoTiles &dX,
-                               const WinogradAlgo &algo, Tensor &dx);
+/**
+ * Destination-passing weight transforms: the caller owns the
+ * pre-shaped destination, so layers re-transform their weights every
+ * step without allocating. The tile-side stages have no such public
+ * form: execution plans (winograd/plan.hh) run them as tile-range
+ * kernels over plan-owned slabs or strip scratch.
+ */
 void transformWeightsInto(const Tensor &w, const WinogradAlgo &algo,
                           WinoWeights &out);
 void transformWeightsAdjointInto(const WinoWeights &dW,
                                  const WinogradAlgo &algo, Tensor &dw);
-void elementwiseForwardInto(const WinoTiles &X, const WinoWeights &W,
-                            WinoTiles &Y);
-void elementwiseBackwardDataInto(const WinoTiles &dY,
-                                 const WinoWeights &W, WinoTiles &dX);
-void elementwiseGradWeightsInto(const WinoTiles &dY, const WinoTiles &X,
-                                WinoWeights &dW);
-/** Spatial size is taken from the pre-shaped y. */
-void inverseTransformInto(const WinoTiles &Y, const WinogradAlgo &algo,
-                          Tensor &y);
-void inverseTransformAdjointInto(const Tensor &dy,
-                                 const WinogradAlgo &algo, WinoTiles &dY);
-
-// ---------------------------------------------------------------------
-// Fused tile-strip stage kernels (DESIGN.md §4.11)
-//
-// Each processes the tile range [t0, t0 + tcnt) of ONE image `b`
-// serially — the strip loop in WinoPlan is the parallel unit, so these
-// must stay free of parallelFor. Strip scratch tiles (Xs/Ys/dYs/dXs)
-// are shaped (alpha, channels, 1, stripTiles >= tcnt); lanes beyond
-// tcnt are never read. The arithmetic per element is identical to the
-// staged kernels above (same micro-kernels, same blocking, same
-// summation order), so a fused pipeline is bitwise identical to the
-// staged one at every ISA level.
-// ---------------------------------------------------------------------
-
-/** Gather + input-transform one strip of image b into Xs. */
-void transformInputStrip(const Tensor &x, const WinogradAlgo &algo,
-                         const TileGrid &grid, int b, int t0, int tcnt,
-                         WinoTiles &Xs);
-/** Ys[uv] = W[uv] * Xs[uv] over the strip's first tcnt lanes. */
-void elementwiseForwardStrip(const WinoTiles &Xs, const WinoWeights &W,
-                             int tcnt, WinoTiles &Ys);
-/** Inverse-transform + store one strip of Ys into image b of y. */
-void inverseTransformStrip(const WinoTiles &Ys, const WinogradAlgo &algo,
-                           const TileGrid &grid, int b, int t0, int tcnt,
-                           Tensor &y);
-/** Gather + adjoint-transform one strip of image b of dy into dYs. */
-void inverseTransformAdjointStrip(const Tensor &dy,
-                                  const WinogradAlgo &algo,
-                                  const TileGrid &grid, int b, int t0,
-                                  int tcnt, WinoTiles &dYs);
-/** dXs[uv] = W[uv]^T * dYs[uv] over the strip's first tcnt lanes. */
-void elementwiseBackwardDataStrip(const WinoTiles &dYs,
-                                  const WinoWeights &W, int tcnt,
-                                  WinoTiles &dXs);
-/**
- * Overlap-add one strip of dXs into image b of dx (which the caller
- * zero-fills before the first strip). Tiles scatter in ascending
- * order; callers must process a given image's strips in ascending
- * order, serially, to keep the bitwise contract.
- */
-void transformInputAdjointStripAdd(const WinoTiles &dXs,
-                                   const WinogradAlgo &algo,
-                                   const TileGrid &grid, int b, int t0,
-                                   int tcnt, Tensor &dx);
-
-// ---------------------------------------------------------------------
-// Sparse + low-precision forward kernels (DESIGN.md §4.15)
-//
-// The sparse fp32 kernels are bitwise identical to their dense
-// counterparts at every ISA level: the activation mask and the weight
-// compaction only ever drop terms whose product is an exact ±0, and
-// the micro-kernels preserve the dense expression shapes (see
-// mk::panelAccumSel). The half kernels store transformed activations
-// as 16 bits (software round-to-nearest-even encode, exact decode)
-// and accumulate in fp32; they are deterministic per ISA and bitwise
-// identical between staged and fused blockings. Caveat: the ±0-drop
-// argument needs finite inputs — inf/NaN activations can differ
-// (0 * inf), matching the documented error-bound contract.
-// ---------------------------------------------------------------------
-
-/** transformInputInto + per-panel activation zero-mask build. The
- *  mask (pre-shaped by the plan) is rebuilt from scratch: each
- *  (channel, image) plane region is cleared by its single writer. */
-void transformInputMaskInto(const Tensor &x, const WinogradAlgo &algo,
-                            WinoTiles &out, ActMask &mask);
-
-/** Input transform straight into 16-bit storage (mk::kHalfBf16 /
- *  mk::kHalfF16). With a non-null mask, also builds the zero-mask
- *  from the encoded panels. */
-void transformInputHalfInto(const Tensor &x, const WinogradAlgo &algo,
-                            HalfTiles &out, int halfKind, ActMask *mask);
-
-/** elementwiseForwardInto with zero-skipping: weight-zero and
- *  mask-zero rows are compacted away before the panel kernel. */
-void elementwiseForwardSparseInto(const WinoTiles &X,
-                                  const WinoWeights &W, WinoTiles &Y,
-                                  const ActMask &mask);
-
-/** elementwiseForwardInto over 16-bit activations with fp32
- *  accumulate; a non-null mask additionally enables zero-skipping. */
-void elementwiseForwardHalfInto(const HalfTiles &X, const WinoWeights &W,
-                                WinoTiles &Y, int halfKind,
-                                const ActMask *mask);
-
-/** Strip variants (same contracts as the fused kernels above; the
- *  strip mask is a batch=1, stripTiles-shaped ActMask). */
-void transformInputStripMask(const Tensor &x, const WinogradAlgo &algo,
-                             const TileGrid &grid, int b, int t0,
-                             int tcnt, WinoTiles &Xs, ActMask &mask);
-void transformInputStripHalf(const Tensor &x, const WinogradAlgo &algo,
-                             const TileGrid &grid, int b, int t0,
-                             int tcnt, HalfTiles &Xs, int halfKind,
-                             ActMask *mask);
-void elementwiseForwardStripSparse(const WinoTiles &Xs,
-                                   const WinoWeights &W, int tcnt,
-                                   WinoTiles &Ys, const ActMask &mask);
-void elementwiseForwardStripHalf(const HalfTiles &Xs,
-                                 const WinoWeights &W, int tcnt,
-                                 WinoTiles &Ys, int halfKind,
-                                 const ActMask *mask);
 
 // ---------------------------------------------------------------------
 // High-level convenience wrappers (build a transient execution plan)

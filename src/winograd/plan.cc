@@ -3,18 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "common/metrics.hh"
 #include "common/parallel.hh"
-#include "common/perfcounters.hh"
 #include "common/trace.hh"
 #include "winograd/conv.hh"
 #include "winograd/cost.hh"
 #include "winograd/microkernel.hh"
+#include "winograd/stages.hh"
 
 namespace winomc {
 
@@ -38,38 +38,10 @@ constexpr std::size_t kFusedAutoMinSlabBytes = 1u << 20;
 
 std::atomic<int> gFusedMode{-1}; ///< -1 = unresolved (parse env once)
 
-/** RAII throughput probe for the fused phases (same contract as the
- *  staged StageTimer in conv.cc). */
-class FusedTimer
-{
-  public:
-    FusedTimer(const char *stage, double flops)
-        : stage(stage), flops(flops), active(metrics::enabled())
-    {
-        if (active) {
-            start = std::chrono::steady_clock::now();
-            perf0 = perf::read();
-        }
-    }
-    ~FusedTimer()
-    {
-        if (active) {
-            std::chrono::duration<double> d =
-                std::chrono::steady_clock::now() - start;
-            mk::publishStageMetrics(stage, d.count(), flops);
-            perf::publishStage(stage, perf0);
-        }
-    }
-    FusedTimer(const FusedTimer &) = delete;
-    FusedTimer &operator=(const FusedTimer &) = delete;
-
-  private:
-    const char *stage;
-    double flops;
-    bool active;
-    std::chrono::steady_clock::time_point start;
-    perf::Reading perf0;
-};
+using stage::Side;
+using stage::StageTimer;
+using stage::TileMap;
+using stage::TileRange;
 
 } // namespace
 
@@ -132,6 +104,9 @@ WinoPlan::WinoPlan(const WinogradAlgo &algo, int batch, int inCh,
 {
     winomc_assert(batch > 0 && inCh > 0 && outCh > 0,
                   "degenerate WinoPlan configuration");
+    winomc_assert(algo.alpha <= stage::kMaxAlpha, "alpha too large: ",
+                  algo.alpha, " (the transform panels hold at most ",
+                  stage::kMaxAlpha, ")");
     // Validate the planned working set against the workspace budget
     // before touching the pool, so an oversized shape dies with a clear
     // message instead of an OOM mid-pipeline.
@@ -143,19 +118,20 @@ WinoPlan::WinoPlan(const WinogradAlgo &algo, int batch, int inCh,
                         std::to_string(inCh) + "->" +
                         std::to_string(outCh) + "@" + std::to_string(h) +
                         "x" + std::to_string(w) + ")");
-    Xt.reshape(algo.alpha, inCh, batch, grid.tiles());
-    Yt.reshape(algo.alpha, outCh, batch, grid.tiles());
-    dYt.reshape(algo.alpha, outCh, batch, grid.tiles());
-    dXt.reshape(algo.alpha, inCh, batch, grid.tiles());
-    // Policy-dependent slabs: the 16-bit input tiles replace Xt on the
-    // staged half forward, the activation zero mask feeds the sparse
-    // elementwise kernels. Both are sized here so policy execution
-    // keeps the zero-steady-state-allocation contract.
-    if (pol.prec != Prec::F32)
-        Xh.reshape(algo.alpha, inCh, batch, grid.tiles());
-    if (pol.sparse)
-        actMask.reshape(algo.alpha * algo.alpha, inCh, batch,
-                        grid.tiles());
+    shapeTileSet(slab, batch, grid.tiles(), true);
+    shapeTileSet(gradSlab, batch, grid.tiles(), false);
+
+    // Resolve the policy once: 16-bit storage replaces the fp32 input
+    // tiles of the forward, a sparse policy adds the activation mask.
+    const bool half = pol.prec != Prec::F32;
+    halfKind = pol.prec == Prec::F16 ? mk::kHalfF16 : mk::kHalfBf16;
+    fp32Input = !half;
+    if (half)
+        fwdRange = pol.sparse ? &WinoPlan::forwardRange<HalfTiles, true>
+                              : &WinoPlan::forwardRange<HalfTiles, false>;
+    else
+        fwdRange = pol.sparse ? &WinoPlan::forwardRange<WinoTiles, true>
+                              : &WinoPlan::forwardRange<WinoTiles, false>;
 
     // Fused strip geometry: whole tile panels, sized so one worker's
     // in+out scratch fits kStripScratchBytes, clamped to [one panel,
@@ -203,24 +179,15 @@ WinoPlan::matches(const WinogradAlgo &algo, int batch, int inCh,
 std::size_t
 WinoPlan::workspaceBytes() const
 {
-    std::size_t stripBytes = 0;
+    auto bytes = [](const TileSet &s) {
+        return (s.in.size() + s.out.size()) * sizeof(float) +
+               s.inHalf.size() * sizeof(std::uint16_t) +
+               s.mask.wordCount() * sizeof(std::uint64_t);
+    };
+    std::size_t total = bytes(slab) + bytes(gradSlab);
     for (const auto &s : stripSlots)
-        stripBytes += (s->in.size() + s->out.size()) * sizeof(float) +
-                      s->inHalf.size() * sizeof(std::uint16_t) +
-                      s->mask.wordCount() * sizeof(std::uint64_t);
-    return (Xt.size() + Yt.size() + dYt.size() + dXt.size()) *
-               sizeof(float) +
-           Xh.size() * sizeof(std::uint16_t) +
-           actMask.wordCount() * sizeof(std::uint64_t) + stripBytes;
-}
-
-bool
-WinoPlan::fusedSupported() const
-{
-    // The strip kernels cover every "same"-conv configuration a plan
-    // accepts today; the hook stays for future constraints (strides,
-    // grouped layouts).
-    return true;
+        total += bytes(*s);
+    return total;
 }
 
 bool
@@ -230,40 +197,54 @@ WinoPlan::shouldFuse(bool preserveTileCaches) const
       case FusedMode::Off:
         return false;
       case FusedMode::On:
-        return fusedSupported();
+        return true;
       case FusedMode::Auto:
         break;
     }
-    if (!fusedSupported() || preserveTileCaches)
+    if (preserveTileCaches)
         return false;
     // Fuse once the staged forward slabs overflow cache; below that,
     // staged is already cache-resident and keeps its tile caches.
-    return (Xt.size() + Yt.size()) * sizeof(float) >=
+    return (slab.in.size() + slab.out.size()) * sizeof(float) >=
            kFusedAutoMinSlabBytes;
 }
 
-WinoPlan::StripScratch *
+void
+WinoPlan::shapeTileSet(TileSet &s, int batch, int tiles,
+                       bool withPolicy) const
+{
+    s.in.reshape(alg.alpha, ni, batch, tiles);
+    s.out.reshape(alg.alpha, nj, batch, tiles);
+    // Sized up front so policy execution keeps the
+    // zero-steady-state-allocation contract.
+    if (withPolicy && pol.prec != Prec::F32)
+        s.inHalf.reshape(alg.alpha, ni, batch, tiles);
+    if (withPolicy && pol.sparse)
+        s.mask.reshape(alg.alpha * alg.alpha, ni, batch, tiles);
+}
+
+WinoPlan::TileSet *
+WinoPlan::newStripSlot()
+{
+    auto s = std::make_unique<TileSet>();
+    shapeTileSet(*s, 1, stripT, true);
+    stripSlots.push_back(std::move(s));
+    return stripSlots.back().get();
+}
+
+WinoPlan::TileSet *
 WinoPlan::acquireStripSlot()
 {
     std::lock_guard<std::mutex> lk(stripMu);
-    if (stripFree.empty()) {
-        auto s = std::make_unique<StripScratch>();
-        s->in.reshape(alg.alpha, ni, 1, stripT);
-        s->out.reshape(alg.alpha, nj, 1, stripT);
-        if (pol.prec != Prec::F32)
-            s->inHalf.reshape(alg.alpha, ni, 1, stripT);
-        if (pol.sparse)
-            s->mask.reshape(alg.alpha * alg.alpha, ni, 1, stripT);
-        stripSlots.push_back(std::move(s));
-        return stripSlots.back().get();
-    }
-    StripScratch *s = stripFree.back();
+    if (stripFree.empty())
+        return newStripSlot();
+    TileSet *s = stripFree.back();
     stripFree.pop_back();
     return s;
 }
 
 void
-WinoPlan::releaseStripSlot(StripScratch *s)
+WinoPlan::releaseStripSlot(TileSet *s)
 {
     std::lock_guard<std::mutex> lk(stripMu);
     stripFree.push_back(s);
@@ -272,24 +253,57 @@ WinoPlan::releaseStripSlot(StripScratch *s)
 void
 WinoPlan::ensureStripSlots(int n)
 {
-    // Pre-build the worst-case concurrent slot count before entering
-    // the parallel region. Lazy growth inside acquireStripSlot would
-    // still be correct, but how many workers are simultaneously awake
-    // varies run to run — growing the pool up front keeps the
-    // zero-steady-state-allocation contract deterministic instead of
-    // dependent on the warm-up call's scheduling luck.
+    // Build the worst-case concurrent slot count before entering the
+    // parallel region: how many workers are simultaneously awake
+    // varies run to run, so growing lazily inside the region would
+    // make the zero-steady-state-allocation contract depend on the
+    // warm-up call's scheduling luck.
     std::lock_guard<std::mutex> lk(stripMu);
-    while (int(stripSlots.size()) < n) {
-        auto s = std::make_unique<StripScratch>();
-        s->in.reshape(alg.alpha, ni, 1, stripT);
-        s->out.reshape(alg.alpha, nj, 1, stripT);
-        if (pol.prec != Prec::F32)
-            s->inHalf.reshape(alg.alpha, ni, 1, stripT);
-        if (pol.sparse)
-            s->mask.reshape(alg.alpha * alg.alpha, ni, 1, stripT);
-        stripFree.push_back(s.get());
-        stripSlots.push_back(std::move(s));
-    }
+    while (int(stripSlots.size()) < n)
+        stripFree.push_back(newStripSlot());
+}
+
+void
+WinoPlan::checkShapes(const Tensor &in, int inCh, const WinoWeights &W,
+                      const Tensor &out, int outCh,
+                      const char *what) const
+{
+    winomc_assert(in.n() == nb && in.c() == inCh && in.h() == fh &&
+                      in.w() == fw,
+                  what, " input shape mismatch");
+    winomc_assert(out.n() == nb && out.c() == outCh && out.h() == fh &&
+                      out.w() == fw,
+                  what, " output shape mismatch");
+    winomc_assert(W.alphaEdge() == alg.alpha && W.inChannels() == ni &&
+                      W.outChannels() == nj,
+                  what, " weight shape mismatch");
+}
+
+template <class Tiles, bool Masked>
+void
+WinoPlan::forwardRange(const Tensor &x, const WinoWeights &W, Tensor &y,
+                       const TileRange &r, TileSet &s)
+{
+    Tiles *xs;
+    if constexpr (std::is_same_v<Tiles, HalfTiles>)
+        xs = &s.inHalf;
+    else
+        xs = &s.in;
+    ActMask *mask = Masked ? &s.mask : nullptr;
+    stage::gather<Tiles, Masked>(TileMap(Side::Input, alg, grid), x, r,
+                                 *xs, mask, halfKind);
+    stage::ewForward<Tiles, Masked>(*xs, W, r, s.out, mask, halfKind);
+    stage::scatter(TileMap(Side::Output, alg, grid), s.out, r, y);
+}
+
+void
+WinoPlan::backwardDataRange(const Tensor &dy, const WinoWeights &W,
+                            Tensor &dx, const TileRange &r, TileSet &s)
+{
+    stage::gather<WinoTiles, false>(TileMap(Side::OutputAdjoint, alg, grid),
+                                    dy, r, s.out);
+    stage::ewBackwardData(s.out, W, r, s.in);
+    stage::scatter(TileMap(Side::InputAdjoint, alg, grid), s.in, r, dx);
 }
 
 void
@@ -315,38 +329,22 @@ void
 WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y)
 {
     WINOMC_SPAN("wino.phase.fwd", "wino");
-    const bool half = pol.prec != Prec::F32;
-    const int hk =
-        pol.prec == Prec::F16 ? mk::kHalfF16 : mk::kHalfBf16;
-    if (half) {
-        ActMask *m = pol.sparse ? &actMask : nullptr;
-        transformInputHalfInto(x, alg, Xh, hk, m);
-        elementwiseForwardHalfInto(Xh, W, Yt, hk, m);
-        // The fp32 Xt slab was bypassed; tile-cache consumers must
-        // scatterInput (backward stays full fp32).
-        haveInput = false;
-    } else if (pol.sparse) {
-        transformInputMaskInto(x, alg, Xt, actMask);
-        elementwiseForwardSparseInto(Xt, W, Yt, actMask);
-        haveInput = true; // Xt is the same fp32 slab, bitwise
-    } else {
-        transformInputInto(x, alg, Xt);
-        elementwiseForwardInto(Xt, W, Yt);
-        haveInput = true;
-    }
-    inverseTransformInto(Yt, alg, y);
+    checkShapes(x, ni, W, y, nj, "forwardInto");
+    (this->*fwdRange)(x, W, y, TileRange::whole(nb, grid.tiles()), slab);
+    // A 16-bit forward bypasses the fp32 Xt slab; tile-cache consumers
+    // must scatterInput (backward stays full fp32).
+    haveInput = fp32Input;
     haveOutput = true;
     if (metrics::enabled()) {
         const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
         const double out = double(nb) * nj * fh * fw;
         const double f = double(sizeof(float));
         const double xb = double(precBytes(pol.prec)); // X-tile stream
+        const double xt = double(slab.in.size());
+        const double yt = double(slab.out.size());
         publishTraffic(
-            "staged", "fwd",
-            double(gatherElemsA) * nb * ni * f + double(Xt.size()) * xb,
-            double(Xt.size()) * xb +
-                (double(W.size()) + double(Yt.size())) * f,
-            (double(Yt.size()) + out) * f,
+            "staged", "fwd", double(gatherElemsA) * nb * ni * f + xt * xb,
+            xt * xb + (double(W.size()) + yt) * f, (yt + out) * f,
             double(predictedTrafficBytes(spec, alg, Phase::Fprop, false)
                        .totalBytes()));
     }
@@ -357,18 +355,12 @@ WinoPlan::forwardFusedInto(const Tensor &x, const WinoWeights &W,
                            Tensor &y)
 {
     WINOMC_SPAN("wino.fused.fwd", "wino");
-    winomc_assert(x.n() == nb && x.c() == ni && x.h() == fh &&
-                  x.w() == fw, "forwardFusedInto input shape mismatch");
-    winomc_assert(y.n() == nb && y.c() == nj && y.h() == fh &&
-                  y.w() == fw, "forwardFusedInto output shape mismatch");
-    winomc_assert(W.alphaEdge() == alg.alpha && W.inChannels() == ni &&
-                  W.outChannels() == nj,
-                  "forwardFusedInto weight shape mismatch");
+    checkShapes(x, ni, W, y, nj, "forwardFusedInto");
     const int nt = grid.tiles();
     const int nStrips = stripCount();
     const int a = alg.alpha;
     const int m = alg.m;
-    FusedTimer probe("fused.fwd",
+    StageTimer probe("fused.fwd",
                      4.0 * a * a * a * double(nb) * ni * nt +
                          2.0 * a * a * double(nj) * ni * nb * nt +
                          2.0 * m * a * (a + m) * double(nb) * nj * nt);
@@ -376,34 +368,17 @@ WinoPlan::forwardFusedInto(const Tensor &x, const WinoWeights &W,
     const std::int64_t nTasks = std::int64_t(nb) * nStrips;
     ensureStripSlots(int(std::min<std::int64_t>(
         ThreadPool::global().threadCount(), nTasks)));
-    const bool half = pol.prec != Prec::F32;
-    const int hk =
-        pol.prec == Prec::F16 ? mk::kHalfF16 : mk::kHalfBf16;
     // One task per (image, strip); output tiles are disjoint across
     // tasks, so any chunking is race-free and bitwise identical.
     parallelFor(0, nTasks, 1,
                 [&](std::int64_t lo, std::int64_t hi) {
-        StripScratch *s = acquireStripSlot();
+        TileSet *s = acquireStripSlot();
         for (std::int64_t task = lo; task < hi; ++task) {
             const int b = int(task / nStrips);
             const int t0 = int(task % nStrips) * stripT;
-            const int tcnt = std::min(stripT, nt - t0);
-            if (half) {
-                ActMask *m = pol.sparse ? &s->mask : nullptr;
-                transformInputStripHalf(x, alg, grid, b, t0, tcnt,
-                                        s->inHalf, hk, m);
-                elementwiseForwardStripHalf(s->inHalf, W, tcnt, s->out,
-                                            hk, m);
-            } else if (pol.sparse) {
-                transformInputStripMask(x, alg, grid, b, t0, tcnt,
-                                        s->in, s->mask);
-                elementwiseForwardStripSparse(s->in, W, tcnt, s->out,
-                                              s->mask);
-            } else {
-                transformInputStrip(x, alg, grid, b, t0, tcnt, s->in);
-                elementwiseForwardStrip(s->in, W, tcnt, s->out);
-            }
-            inverseTransformStrip(s->out, alg, grid, b, t0, tcnt, y);
+            (this->*fwdRange)(
+                x, W, y, TileRange::strip(b, t0, std::min(stripT, nt - t0)),
+                *s);
         }
         releaseStripSlot(s);
     });
@@ -427,22 +402,22 @@ WinoPlan::backwardDataInto(const Tensor &dy, const WinoWeights &W,
                            Tensor &dx)
 {
     WINOMC_SPAN("wino.phase.bwd_data", "wino");
-    inverseTransformAdjointInto(dy, alg, dYt);
+    checkShapes(dy, nj, W, dx, ni, "backwardDataInto");
+    backwardDataRange(dy, W, dx, TileRange::whole(nb, grid.tiles()),
+                      gradSlab);
     haveGrad = true;
-    elementwiseBackwardDataInto(dYt, W, dXt);
-    transformInputAdjointInto(dXt, alg, dx);
     if (metrics::enabled()) {
         const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
         const double outPlane = double(nb) * nj * fh * fw;
         const double inPlane = double(nb) * ni * fh * fw;
         const double addSweep = double(gatherElemsA) * nb * ni;
         const double f = double(sizeof(float));
+        const double dyt = double(gradSlab.out.size());
+        const double dxt = double(gradSlab.in.size());
         publishTraffic(
-            "staged", "bwd_data", (outPlane + double(dYt.size())) * f,
-            (double(dYt.size()) + double(W.size()) +
-             double(dXt.size())) *
-                f,
-            (double(dXt.size()) + inPlane + 2.0 * addSweep) * f,
+            "staged", "bwd_data", (outPlane + dyt) * f,
+            (dyt + double(W.size()) + dxt) * f,
+            (dxt + inPlane + 2.0 * addSweep) * f,
             double(predictedTrafficBytes(spec, alg, Phase::Bprop, false)
                        .totalBytes()));
     }
@@ -453,20 +428,12 @@ WinoPlan::backwardDataFusedInto(const Tensor &dy, const WinoWeights &W,
                                 Tensor &dx)
 {
     WINOMC_SPAN("wino.fused.bwd_data", "wino");
-    winomc_assert(dy.n() == nb && dy.c() == nj && dy.h() == fh &&
-                  dy.w() == fw,
-                  "backwardDataFusedInto grad shape mismatch");
-    winomc_assert(dx.n() == nb && dx.c() == ni && dx.h() == fh &&
-                  dx.w() == fw,
-                  "backwardDataFusedInto output shape mismatch");
-    winomc_assert(W.alphaEdge() == alg.alpha && W.inChannels() == ni &&
-                  W.outChannels() == nj,
-                  "backwardDataFusedInto weight shape mismatch");
+    checkShapes(dy, nj, W, dx, ni, "backwardDataFusedInto");
     const int nt = grid.tiles();
     const int nStrips = stripCount();
     const int a = alg.alpha;
     const int m = alg.m;
-    FusedTimer probe("fused.bwd_data",
+    StageTimer probe("fused.bwd_data",
                      2.0 * m * a * (a + m) * double(nb) * nj * nt +
                          2.0 * a * a * double(nj) * ni * nb * nt +
                          4.0 * a * a * a * double(nb) * ni * nt);
@@ -475,24 +442,17 @@ WinoPlan::backwardDataFusedInto(const Tensor &dy, const WinoWeights &W,
         std::min(ThreadPool::global().threadCount(), nb));
     // Overlap-add races across strips of one image, so the batch axis
     // is the parallel unit and strips run serially in ascending order
-    // per image — the same summation order as the staged adjoint, so
-    // any thread count is bitwise identical to serial.
-    const std::size_t planeSz = std::size_t(ni) * fh * fw;
+    // per image (the first one clears the image's planes) — the same
+    // summation order as the staged adjoint, so any thread count is
+    // bitwise identical to serial.
     parallelFor(0, nb, 1, [&](std::int64_t lo, std::int64_t hi) {
-        StripScratch *s = acquireStripSlot();
-        for (std::int64_t b = lo; b < hi; ++b) {
-            float *dxb = dx.data() + std::size_t(b) * planeSz;
-            std::fill(dxb, dxb + planeSz, 0.0f); // overlap-add target
-            for (int strip = 0; strip < nStrips; ++strip) {
-                const int t0 = strip * stripT;
-                const int tcnt = std::min(stripT, nt - t0);
-                inverseTransformAdjointStrip(dy, alg, grid, int(b), t0,
-                                             tcnt, s->out);
-                elementwiseBackwardDataStrip(s->out, W, tcnt, s->in);
-                transformInputAdjointStripAdd(s->in, alg, grid, int(b),
-                                              t0, tcnt, dx);
-            }
-        }
+        TileSet *s = acquireStripSlot();
+        for (std::int64_t b = lo; b < hi; ++b)
+            for (int t0 = 0; t0 < nt; t0 += stripT)
+                backwardDataRange(
+                    dy, W, dx,
+                    TileRange::strip(int(b), t0, std::min(stripT, nt - t0)),
+                    *s);
         releaseStripSlot(s);
     });
     if (metrics::enabled()) {
@@ -514,17 +474,17 @@ WinoPlan::gradWeightsInto(const Tensor &x, const Tensor &dy,
                           WinoWeights &dW)
 {
     WINOMC_SPAN("wino.phase.grad_weights", "wino");
-    transformInputInto(x, alg, Xt);
-    haveInput = true;
-    inverseTransformAdjointInto(dy, alg, dYt);
-    haveGrad = true;
-    elementwiseGradWeightsInto(dYt, Xt, dW);
+    scatterInput(x);
+    transformGradOutput(dy);
+    stage::ewGradWeights(gradSlab.out, slab.in, dW);
 }
 
 void
 WinoPlan::transformGradOutput(const Tensor &dy)
 {
-    inverseTransformAdjointInto(dy, alg, dYt);
+    stage::gather<WinoTiles, false>(TileMap(Side::OutputAdjoint, alg, grid),
+                                    dy, TileRange::whole(nb, grid.tiles()),
+                                    gradSlab.out);
     haveGrad = true;
 }
 
@@ -534,7 +494,7 @@ WinoPlan::gradWeightsFromCachedInto(WinoWeights &dW)
     winomc_assert(haveInput && haveGrad,
                   "gradWeightsFromCachedInto without cached forward "
                   "tiles and transformed grad-output");
-    elementwiseGradWeightsInto(dYt, Xt, dW);
+    stage::ewGradWeights(gradSlab.out, slab.in, dW);
 }
 
 void
@@ -542,35 +502,41 @@ WinoPlan::backwardDataFromCachedInto(const WinoWeights &W, Tensor &dx)
 {
     winomc_assert(haveGrad, "backwardDataFromCachedInto before "
                             "transformGradOutput");
-    elementwiseBackwardDataInto(dYt, W, dXt);
-    transformInputAdjointInto(dXt, alg, dx);
+    const TileRange whole = TileRange::whole(nb, grid.tiles());
+    stage::ewBackwardData(gradSlab.out, W, whole, gradSlab.in);
+    stage::scatter(TileMap(Side::InputAdjoint, alg, grid), gradSlab.in,
+                   whole, dx);
 }
 
 void
 WinoPlan::scatterInput(const Tensor &x)
 {
-    transformInputInto(x, alg, Xt);
+    stage::gather<WinoTiles, false>(TileMap(Side::Input, alg, grid), x,
+                                    TileRange::whole(nb, grid.tiles()),
+                                    slab.in);
     haveInput = true;
 }
 
 void
 WinoPlan::gatherOutputInto(Tensor &y)
 {
-    inverseTransformInto(Yt, alg, y);
+    stage::scatter(TileMap(Side::Output, alg, grid), slab.out,
+                   TileRange::whole(nb, grid.tiles()), y);
     haveOutput = true;
 }
 
 void
 WinoPlan::gatherGradInputInto(Tensor &dx)
 {
-    transformInputAdjointInto(dXt, alg, dx);
+    stage::scatter(TileMap(Side::InputAdjoint, alg, grid), gradSlab.in,
+                   TileRange::whole(nb, grid.tiles()), dx);
 }
 
 const WinoTiles &
 WinoPlan::inputTiles() const
 {
     winomc_assert(haveInput, "input tiles not populated");
-    return Xt;
+    return slab.in;
 }
 
 const WinoTiles &
@@ -580,14 +546,14 @@ WinoPlan::outputTiles() const
                   "output tiles not populated (a fused forward bypasses "
                   "the tile slabs; tile-cache consumers need the staged "
                   "path, i.e. WINOMC_FUSED=auto or off)");
-    return Yt;
+    return slab.out;
 }
 
 const WinoTiles &
 WinoPlan::gradOutputTiles() const
 {
     winomc_assert(haveGrad, "grad-output tiles not populated");
-    return dYt;
+    return gradSlab.out;
 }
 
 // ------------------------------------------------------------- PlanLru

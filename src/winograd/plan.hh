@@ -6,10 +6,17 @@
  * configuration, precomputes the tile grid, and owns every
  * Winograd-domain slab the pipeline needs (input tiles, output tiles,
  * grad-output tiles, grad-input tiles). All stage execution goes through
- * the destination-passing kernels of winograd/conv.hh, so once a plan is
- * built, repeated training steps over the same shape perform zero heap
+ * the tile-range kernels of winograd/stages.hh: the staged pipeline runs
+ * them once over the whole grid into the slabs, the fused pipeline per
+ * strip into per-worker scratch. Once a plan is built, repeated
+ * training steps over the same shape perform zero workspace
  * allocations in the Winograd path — the plan is the host-side analogue
  * of the paper's statically scheduled SRAM working set.
+ *
+ * The execution policy (WINOMC_PREC / WINOMC_SPARSE) is resolved once,
+ * at construction, into the storage and mask the forward kernels run
+ * with; the staged and fused forwards then call the same per-range
+ * forward without consulting the policy again.
  *
  * Lifecycle: layers build a plan lazily on the first forward and rebuild
  * only when the incoming shape stops matching (matches()). The plan
@@ -38,6 +45,10 @@
 #include "winograd/tiling.hh"
 
 namespace winomc {
+
+namespace stage {
+struct TileRange;
+}
 
 /**
  * WINOMC_FUSED knob: picks between the staged pipeline (full slabs
@@ -126,18 +137,16 @@ class WinoPlan
                          WinoWeights &dW);
 
     // -----------------------------------------------------------------
-    // Fused tile-strip pipeline (§4.11): transform -> per-(K,C) panel
-    // accumulation -> inverse transform run per L2-sized strip of the
-    // tile grid, touching only per-worker strip scratch — the full
-    // Xt/Yt/dYt/dXt slabs are bypassed entirely. Bitwise identical to
-    // the staged pipeline at every ISA level and for any thread count.
-    // Leaves the plan's tile caches invalid (there are no slab tiles to
-    // cache); callers needing inputTiles()/outputTiles() must use the
-    // staged path.
+    // Fused tile-strip pipeline (§4.11): the staged pipeline's own
+    // range kernels (transform -> per-(K,C) panel accumulation ->
+    // inverse transform) run per L2-sized strip of the tile grid,
+    // touching only per-worker strip scratch — the full Xt/Yt/dYt/dXt
+    // slabs are bypassed entirely. Bitwise identical to the staged
+    // pipeline at every ISA level and for any thread count. Leaves the
+    // plan's tile caches invalid (there are no slab tiles to cache);
+    // callers needing inputTiles()/outputTiles() must use the staged
+    // path.
     // -----------------------------------------------------------------
-
-    /** Does a fused path exist for this plan's configuration? */
-    bool fusedSupported() const;
 
     /**
      * Resolve the WINOMC_FUSED knob for this plan. Pass
@@ -183,28 +192,27 @@ class WinoPlan
     void backwardDataFromCachedInto(const WinoWeights &W, Tensor &dx);
 
     // -----------------------------------------------------------------
-    // Partial-execution access (mpt::MptConvLayer): scatter/gather move
-    // between the spatial and Winograd domains; the partial element-wise
-    // kernels of mpt/functional.hh then accumulate directly into the
-    // plan-owned slabs. Callers zero outputTilesMutable() /
-    // gradInputTilesMutable() before a fresh accumulation pass — a
-    // zeroed reused slab is bitwise identical to a fresh one.
+    // Partial-execution access (mpt::MptConvLayer): scatterInput and
+    // transformGradOutput move into the Winograd domain, the gathers
+    // move back; the partial element-wise kernels of mpt/functional.hh
+    // accumulate directly into the plan-owned slabs in between. Callers
+    // zero outputTilesMutable() / gradInputTilesMutable() before a fresh
+    // accumulation pass — a zeroed reused slab is bitwise identical to
+    // a fresh one.
     // -----------------------------------------------------------------
 
     /** Xt = B^T x B per tile (marks the input cache valid). */
     void scatterInput(const Tensor &x);
     /** y = inverse transform of the (accumulated) output tiles. */
     void gatherOutputInto(Tensor &y);
-    /** dYt = A dy A^T per tile (same as transformGradOutput). */
-    void scatterGradOutput(const Tensor &dy) { transformGradOutput(dy); }
     /** dx = overlap-add adjoint of the (accumulated) grad-input tiles. */
     void gatherGradInputInto(Tensor &dx);
 
     const WinoTiles &inputTiles() const;
     const WinoTiles &outputTiles() const;
     const WinoTiles &gradOutputTiles() const;
-    WinoTiles &outputTilesMutable() { return Yt; }
-    WinoTiles &gradInputTilesMutable() { return dXt; }
+    WinoTiles &outputTilesMutable() { return slab.out; }
+    WinoTiles &gradInputTilesMutable() { return gradSlab.in; }
 
     /** Is the input-tile cache populated (by forwardInto/scatterInput)? */
     bool inputCached() const { return haveInput; }
@@ -213,23 +221,50 @@ class WinoPlan
 
   private:
     /**
-     * Per-worker strip scratch: one input-side and one output-side
-     * tile set of stripT tiles, batch dimension 1. Slots are created
-     * lazily (first fused call at a given concurrency warms the pool)
+     * The Winograd-domain tiles one pipeline range runs through: an
+     * input side (I channels) and an output side (J channels). The
+     * plan's whole-grid slabs are two of these ([a²][ch][N][T]); each
+     * fused worker owns one strip-sized set ([a²][ch][1][stripT]).
+     * Strip slots are created before a fused call's parallel region
      * and kept for the plan's lifetime, so fused steady state
      * allocates nothing.
      */
-    struct StripScratch
+    struct TileSet
     {
-        WinoTiles in;  ///< [a²][I][1][stripT]
-        WinoTiles out; ///< [a²][J][1][stripT]
-        HalfTiles inHalf; ///< 16-bit in-side (half policies only)
-        ActMask mask;     ///< strip-local zero mask (sparse policies)
+        WinoTiles in;     ///< input side (X or dX tiles)
+        WinoTiles out;    ///< output side (Y or dY tiles)
+        HalfTiles inHalf; ///< 16-bit input side (half policies only)
+        ActMask mask;     ///< activation zero mask (sparse policies)
     };
 
-    StripScratch *acquireStripSlot();
-    void releaseStripSlot(StripScratch *s);
+    /** Shape s for `batch` images of `tiles` tiles; withPolicy also
+     *  sizes the policy's 16-bit tiles and zero mask. */
+    void shapeTileSet(TileSet &s, int batch, int tiles,
+                      bool withPolicy) const;
+    /** A new strip slot (stripMu held), shaped by shapeTileSet. */
+    TileSet *newStripSlot();
+    TileSet *acquireStripSlot();
+    void releaseStripSlot(TileSet *s);
     void ensureStripSlots(int n);
+
+    /** Shape checks shared by the staged and fused pipelines. */
+    void checkShapes(const Tensor &in, int inCh, const WinoWeights &W,
+                     const Tensor &out, int outCh,
+                     const char *what) const;
+
+    /**
+     * gather -> element-wise -> inverse over one tile range, with the
+     * storage and mask the captured policy selects. The instantiation
+     * is picked once, at construction, into fwdRange; the staged
+     * forward calls it over the whole grid, the fused one per strip.
+     */
+    template <class Tiles, bool Masked>
+    void forwardRange(const Tensor &x, const WinoWeights &W, Tensor &y,
+                      const stage::TileRange &r, TileSet &s);
+    /** The backward-data pipeline over one tile range (always fp32). */
+    void backwardDataRange(const Tensor &dy, const WinoWeights &W,
+                           Tensor &dx, const stage::TileRange &r,
+                           TileSet &s);
 
     /** Publish wino.<mode>.<phase> traffic counters + predicted gauge
      *  (no-op when metrics are disabled). Args are bytes, so streams
@@ -244,12 +279,22 @@ class WinoPlan
     TileGrid grid;
     ExecPolicy pol; ///< precision/sparsity captured at construction
 
-    WinoTiles Xt;  ///< transformed input activations [a²][I][N][T]
-    WinoTiles Yt;  ///< pre-inverse output tiles       [a²][J][N][T]
-    WinoTiles dYt; ///< transformed output gradients   [a²][J][N][T]
-    WinoTiles dXt; ///< Winograd-domain input grads    [a²][I][N][T]
-    HalfTiles Xh;  ///< 16-bit input tiles (half policies only)
-    ActMask actMask; ///< activation zero mask (sparse policies only)
+    using ForwardRangeFn = void (WinoPlan::*)(const Tensor &,
+                                              const WinoWeights &,
+                                              Tensor &,
+                                              const stage::TileRange &,
+                                              TileSet &);
+    ForwardRangeFn fwdRange = nullptr; ///< forwardRange<...> of pol
+    int halfKind = 0;       ///< mk::kHalf* encoding of a 16-bit pol
+    bool fp32Input = true;  ///< forwards leave fp32 input tiles (Xt)
+
+    /** Forward slabs: in = Xt (transformed input activations), out =
+     *  Yt (pre-inverse output tiles), plus the policy's 16-bit input
+     *  tiles and activation zero mask. */
+    TileSet slab;
+    /** Backward slabs: out = dYt (transformed output gradients), in =
+     *  dXt (Winograd-domain input gradients). */
+    TileSet gradSlab;
 
     bool haveInput = false;  ///< Xt holds the last forward's input
     bool haveOutput = false; ///< Yt holds the last forward's output
@@ -261,8 +306,8 @@ class WinoPlan
      *  plane. Used by the measured-traffic counters. */
     std::size_t gatherElemsA = 0;
 
-    std::vector<std::unique_ptr<StripScratch>> stripSlots;
-    std::vector<StripScratch *> stripFree; ///< guarded by stripMu
+    std::vector<std::unique_ptr<TileSet>> stripSlots;
+    std::vector<TileSet *> stripFree; ///< guarded by stripMu
     std::mutex stripMu;
 };
 

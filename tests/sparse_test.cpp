@@ -623,29 +623,56 @@ TEST(SparseExec, SkipCountersAndParityAtHighSparsity)
     WinoPlan sparse(algo, g.B, g.C, g.K, g.H, g.H);
     Tensor y(g.B, g.K, g.H, g.H);
 
-    // Counter check around one instrumented run.
+    // Counter check around one instrumented run of each schedule.
+    struct Counters
+    {
+        double rows_total = 0, rows_skipped = 0;
+        double panels_total = 0, panels_zero = 0;
+    };
     const bool wasEnabled = metrics::enabled();
-    metrics::setEnabled(true);
-    metrics::reset();
-    sparse.forwardInto(x, W, y);
-    double rows_total = 0, rows_skipped = 0, panels_zero = 0;
-    for (const auto &s : metrics::snapshot()) {
-        if (s.name == "quant.ew.rows_total")
-            rows_total = s.value;
-        else if (s.name == "quant.ew.rows_skipped")
-            rows_skipped = s.value;
-        else if (s.name == "quant.mask.panels_zero")
-            panels_zero = s.value;
-    }
-    metrics::reset();
-    metrics::setEnabled(wasEnabled);
-    EXPECT_GT(rows_total, 0.0);
-    EXPECT_GT(panels_zero, 0.0);
+    auto instrumented = [&](void (WinoPlan::*fwd)(const Tensor &,
+                                                  const WinoWeights &,
+                                                  Tensor &),
+                            Tensor &out) {
+        metrics::setEnabled(true);
+        metrics::reset();
+        (sparse.*fwd)(x, W, out);
+        Counters c;
+        for (const auto &s : metrics::snapshot()) {
+            if (s.name == "quant.ew.rows_total")
+                c.rows_total = s.value;
+            else if (s.name == "quant.ew.rows_skipped")
+                c.rows_skipped = s.value;
+            else if (s.name == "quant.mask.panels_total")
+                c.panels_total = s.value;
+            else if (s.name == "quant.mask.panels_zero")
+                c.panels_zero = s.value;
+        }
+        metrics::reset();
+        metrics::setEnabled(wasEnabled);
+        return c;
+    };
+    const Counters staged = instrumented(&WinoPlan::forwardInto, y);
+    EXPECT_GT(staged.rows_total, 0.0);
+    EXPECT_GT(staged.panels_zero, 0.0);
     // At 85% weight sparsity the row compaction must be dropping well
     // over half of the candidate rows.
-    EXPECT_GT(rows_skipped, 0.5 * rows_total);
+    EXPECT_GT(staged.rows_skipped, 0.5 * staged.rows_total);
     EXPECT_EQ(0, std::memcmp(y.data(), yDense.data(), y.size() * 4))
         << "sparse forward must be bitwise equal to dense";
+
+    // The fused schedule runs the same masked kernels per (image,
+    // strip), so it must report the same skipping. Strips are whole
+    // tile panels, so the mask sees exactly the staged panels.
+    Tensor yFused(g.B, g.K, g.H, g.H);
+    const Counters fused =
+        instrumented(&WinoPlan::forwardFusedInto, yFused);
+    EXPECT_EQ(fused.panels_total, staged.panels_total);
+    EXPECT_EQ(fused.panels_zero, staged.panels_zero);
+    EXPECT_GT(fused.rows_total, 0.0);
+    EXPECT_GT(fused.rows_skipped, 0.5 * fused.rows_total);
+    EXPECT_EQ(0, std::memcmp(yFused.data(), yDense.data(), y.size() * 4))
+        << "fused sparse forward must be bitwise equal to dense";
 }
 
 TEST(HalfPrec, Bf16MovesMeasurablyFewerBytesThanFp32)

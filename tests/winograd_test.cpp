@@ -14,6 +14,8 @@
 #include "winograd/conv.hh"
 #include "winograd/conv1d.hh"
 #include "winograd/cost.hh"
+#include "winograd/lowprec.hh"
+#include "winograd/plan.hh"
 #include "winograd/rational.hh"
 #include "winograd/toom_cook.hh"
 
@@ -389,6 +391,26 @@ TEST(Adjoints, InputTransformAdjointProperty)
 /// domain equals joining after the inverse transform, because the
 /// inverse transform is linear - the identity that lets FractalNet's
 /// join skip one tile gather per branch.
+// The transform panels hold tiles up to alpha = 8. makeWinograd
+// builds larger algorithms (F(6,5) has alpha = 10), so every stage
+// entry point must refuse them instead of overrunning its stack panel.
+TEST(WinogradDeath, OversizedAlphaFailsInTheStageWrapper)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const WinogradAlgo algo = makeWinograd(6, 5);
+    ASSERT_GT(algo.alpha, 8);
+    const WinoTiles dX(algo.alpha, 1, 1, 16); // 24x24 at m = 6
+    EXPECT_DEATH(transformInputAdjoint(dX, algo, 24, 24),
+                 "alpha too large");
+}
+
+TEST(WinogradDeath, OversizedAlphaFailsAtPlanConstruction)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const WinogradAlgo algo = makeWinograd(6, 5);
+    EXPECT_DEATH(WinoPlan(algo, 1, 1, 1, 24, 24), "alpha too large");
+}
+
 TEST(WinogradDomainJoin, CommutesWithInverseTransform)
 {
     WinogradAlgo algo = makeWinograd(2, 3);

@@ -46,6 +46,7 @@
 #include "winograd/lowprec.hh"
 #include "winograd/microkernel.hh"
 #include "winograd/plan.hh"
+#include "winograd/toom_cook.hh"
 
 using namespace winomc;
 
@@ -147,15 +148,26 @@ BM_DirectConv(benchmark::State &state)
 BENCHMARK(BM_DirectConv)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
+/** RAII override of the fused mode, restoring the prior request so a
+ *  forced row cannot leak into later benchmarks. */
+struct FusedModeOverride
+{
+    FusedMode prev = requestedFusedMode();
+    explicit FusedModeOverride(FusedMode m) { setFusedMode(m); }
+    ~FusedModeOverride() { setFusedMode(prev); }
+};
+
 /**
  * Shared body for the F(2,3)/F(4,3) forward benchmarks: a persistent
  * WinoPlan owns every slab, so after the warm-up call the steady state
  * must not touch the workspace at all (the transient winogradForward
- * wrapper used to re-acquire 5 slabs per call).
+ * wrapper used to re-acquire 5 slabs per call). The rows time the
+ * staged pipeline.
  */
 void
 winogradForwardPlanned(benchmark::State &state, const WinogradAlgo &algo)
 {
+    FusedModeOverride ovr(FusedMode::Off);
     Shapes s = shapeFor(int(state.range(0)));
     Rng rng(1);
     Tensor x(s.batch, s.ch, s.hw, s.hw);
@@ -165,10 +177,10 @@ winogradForwardPlanned(benchmark::State &state, const WinogradAlgo &algo)
     WinoWeights W = transformWeights(w, algo);
     WinoPlan plan(algo, s.batch, s.ch, s.ch, s.hw, s.hw);
     Tensor y(s.batch, s.ch, s.hw, s.hw);
-    plan.forwardInto(x, W, y); // warm-up: all slabs acquired here
+    plan.forward(x, W, y, false); // warm-up: all slabs acquired here
     WsProbe probe;
     for (auto _ : state) {
-        plan.forwardInto(x, W, y);
+        plan.forward(x, W, y, false);
         benchmark::DoNotOptimize(y.data());
     }
     const double acquires = probe.report(state);
@@ -514,15 +526,6 @@ invFlops(const WinogradAlgo &algo, int B, int C, int t)
     return 2.0 * m * a * (a + m) * B * C * t;
 }
 
-/** RAII override of the fused mode, restoring the prior request so a
- *  forced row cannot leak into later benchmarks. */
-struct FusedModeOverride
-{
-    FusedMode prev = requestedFusedMode();
-    explicit FusedModeOverride(FusedMode m) { setFusedMode(m); }
-    ~FusedModeOverride() { setFusedMode(prev); }
-};
-
 /**
  * Forward pass through a persistent plan, staged or fused, on a shape
  * whose tile slabs (~127 MiB per side for Xt/Yt) overflow any cache
@@ -544,12 +547,7 @@ winoForwardPlannedMode(benchmark::State &state, bool fused)
     WinoWeights W = transformWeights(w, algo);
     WinoPlan plan(algo, B, C, C, HW, HW);
     Tensor y(B, C, HW, HW);
-    auto run = [&] {
-        if (fused)
-            plan.forwardFusedInto(x, W, y);
-        else
-            plan.forwardInto(x, W, y);
-    };
+    auto run = [&] { plan.forward(x, W, y, false); };
     run(); // warm-up: slabs / strip slots acquired here
     WsProbe probe;
     for (auto _ : state) {
@@ -585,11 +583,11 @@ BENCHMARK(BM_WinoForwardFused)->Apply(threadArgs)
 /**
  * One full training step of a Winograd layer through a persistent
  * plan: forward, weight gradient from the cached tiles, backward-data.
- * The single end-to-end number future PRs track. The fused variant
- * mirrors the WINOMC_FUSED=on layer schedule: the fused forward
- * bypasses the slabs, so the weight-gradient product re-scatters the
- * activations (scatterInput) exactly as nn::ConvLayer::backward does.
- * On this deliberately small, cache-resident shape the re-scatter
+ * The single end-to-end number future PRs track. The fused variant is
+ * the WINOMC_FUSED=on layer schedule: the fused train-mode forward
+ * bypasses the slabs, so it gathers the fp32 input tiles the weight
+ * gradient reads before it returns (what nn::ConvLayer runs).
+ * On this deliberately small, cache-resident shape the re-gather
  * costs more than the slab round trip saves, so the fused row reads
  * slower here — the forward pair above, on a slab-overflowing shape,
  * is the fusion-win comparison.
@@ -614,18 +612,8 @@ winoTrainStepPlanned(benchmark::State &state, bool fused)
     Tensor dx(B, C, HW, HW);
     WinoWeights dW(algo.alpha, C, C);
     auto step = [&] {
-        if (fused) {
-            plan.forwardFusedInto(x, W, y);
-            plan.scatterInput(x); // rebuild Xt for the weight grad
-            plan.transformGradOutput(dy);
-            plan.gradWeightsFromCachedInto(dW);
-            plan.backwardDataFusedInto(dy, W, dx);
-        } else {
-            plan.forwardInto(x, W, y);
-            plan.transformGradOutput(dy);
-            plan.gradWeightsFromCachedInto(dW);
-            plan.backwardDataFromCachedInto(W, dx);
-        }
+        plan.forward(x, W, y, true);
+        plan.backward(dy, W, dx, dW);
     };
     step(); // warm-up: slabs / strip slots acquired here
     WsProbe probe;
@@ -637,7 +625,7 @@ winoTrainStepPlanned(benchmark::State &state, bool fused)
     }
     const double acquires = probe.report(state);
     // Executed FLOPs of the schedule above (the fused row pays the
-    // extra scatterInput transform; its rate is honest, not inflated).
+    // extra input-tile gather; its rate is honest, not inflated).
     const int t = plan.tileGrid().tiles();
     const double fwd = xfFlops(algo, B, C, t) +
                        ewFlops(algo, B, C, C, t) +
@@ -648,7 +636,7 @@ winoTrainStepPlanned(benchmark::State &state, bool fused)
                        xfFlops(algo, B, C, t);
     double flops = fwd + grad + bwd;
     if (fused)
-        flops += xfFlops(algo, B, C, t) + // scatterInput
+        flops += xfFlops(algo, B, C, t) + // fp32 input-tile gather
                  invFlops(algo, B, C, t); // bwd re-gathers dy
     reportKernelRate(state, flops);
     if (acquires > 0.5)
@@ -747,8 +735,9 @@ struct QuantFixture
         quant::magnitudePrune(W, kPruneTarget).apply(W);
         achievedSparsity = quant::winogradWeightSparsity(W);
         PolicyOverride dense(Prec::F32, false);
+        FusedModeOverride staged(FusedMode::Off);
         WinoPlan ref(algo, B, C, C, HW, HW);
-        ref.forwardInto(x, W, yRef);
+        ref.forward(x, W, yRef, false);
     }
 };
 
@@ -777,12 +766,7 @@ quantForwardPlanned(benchmark::State &state, Prec prec, bool sparse,
     auto &f = quantFixture();
     WinoPlan plan(algo, f.B, f.C, f.C, f.HW, f.HW);
     Tensor y(f.B, f.C, f.HW, f.HW);
-    auto run = [&] {
-        if (fused)
-            plan.forwardFusedInto(f.x, f.W, y);
-        else
-            plan.forwardInto(f.x, f.W, y);
-    };
+    auto run = [&] { plan.forward(f.x, f.W, y, false); };
     run(); // warm-up: slabs / strip slots acquired here
     WsProbe probe;
     for (auto _ : state) {
@@ -845,7 +829,7 @@ BM_ToomCookGenerate(benchmark::State &state)
 {
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            makeWinograd(int(state.range(0)), int(state.range(1))));
+            generateToomCook(int(state.range(0)), int(state.range(1))));
 }
 BENCHMARK(BM_ToomCookGenerate)->Args({2, 3})->Args({4, 3})->Args({6, 3})
     ->Unit(benchmark::kMillisecond);

@@ -36,7 +36,7 @@ main()
     std::printf("A^T =\n%s\n", algo.AT.toString().c_str());
 
     // Any F(m, r) is one call away:
-    WinogradAlgo f43 = makeWinograd(4, 3);
+    const WinogradAlgo &f43 = makeWinograd(4, 3);
     std::printf("generated %s with tile size %d\n\n",
                 f43.name().c_str(), f43.alpha);
 

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <string>
 
 #include "common/logging.hh"
 
@@ -38,6 +39,33 @@ envPositiveInt(const char *knob, long long maxValue, long long fallback)
 {
     long long v = parsePositiveInt(knob, std::getenv(knob), maxValue);
     return v ? v : fallback;
+}
+
+int
+parseChoice(const char *knob, const char *str,
+            std::initializer_list<Choice> choices, int fallback)
+{
+    if (!str || !*str)
+        return fallback;
+    std::string s;
+    for (const char *p = str; *p; ++p)
+        if (!std::isspace(static_cast<unsigned char>(*p)))
+            s += char(std::tolower(static_cast<unsigned char>(*p)));
+    for (const Choice &c : choices)
+        if (s == c.name)
+            return c.value;
+    // Name each value once, by its first spelling.
+    std::string want;
+    for (auto c = choices.begin(); c != choices.end(); ++c) {
+        bool alias = false;
+        for (auto p = choices.begin(); p != c; ++p)
+            alias = alias || p->value == c->value;
+        if (!alias)
+            want += (want.empty() ? "" : "|") + std::string(c->name);
+    }
+    winomc_warn("ignoring unrecognized ", knob, " '", str, "' (want ", want,
+                ")");
+    return fallback;
 }
 
 } // namespace winomc::env

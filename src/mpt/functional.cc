@@ -1,36 +1,41 @@
 #include "mpt/functional.hh"
 
+#include <cstring>
+
 #include "common/logging.hh"
+#include "winograd/stages.hh"
 
 namespace winomc::mpt {
 
 namespace {
 
-/** Copy one batch shard (rows [b0, b0+count)) out of a tensor. */
-Tensor
-batchShard(const Tensor &t, int b0, int count)
+/** The whole tile grid of t, restricted to tile elements [uv0, uv1). */
+stage::TileRange
+groupSlice(const WinoTiles &t, int uv0, int uv1)
 {
-    Tensor out(count, t.c(), t.h(), t.w());
-    for (int b = 0; b < count; ++b)
-        for (int c = 0; c < t.c(); ++c)
-            for (int i = 0; i < t.h(); ++i)
-                for (int j = 0; j < t.w(); ++j)
-                    out.at(b, c, i, j) = t.at(b0 + b, c, i, j);
-    return out;
-}
-
-/** Paste a batch shard back at row b0. */
-void
-pasteShard(Tensor &dst, const Tensor &shard, int b0)
-{
-    for (int b = 0; b < shard.n(); ++b)
-        for (int c = 0; c < shard.c(); ++c)
-            for (int i = 0; i < shard.h(); ++i)
-                for (int j = 0; j < shard.w(); ++j)
-                    dst.at(b0 + b, c, i, j) = shard.at(b, c, i, j);
+    winomc_assert(0 <= uv0 && uv0 <= uv1 && uv1 <= t.uvCount(),
+                  "uv slice [", uv0, ", ", uv1, ") outside the tile's ",
+                  t.uvCount(), " elements");
+    return stage::TileRange::whole(t.batch(), t.tiles())
+        .uvSlice(uv0, uv1);
 }
 
 } // namespace
+
+void
+copyImages(const Tensor &src, int srcB0, Tensor &dst, int dstB0,
+           int count)
+{
+    winomc_assert(src.c() == dst.c() && src.h() == dst.h() &&
+                      src.w() == dst.w() && srcB0 >= 0 && dstB0 >= 0 &&
+                      srcB0 + count <= src.n() && dstB0 + count <= dst.n(),
+                  "image copy out of range");
+    // NCHW: a run of whole images is one contiguous block.
+    const std::size_t image = std::size_t(src.c()) * src.h() * src.w();
+    std::memcpy(dst.data() + std::size_t(dstB0) * image,
+                src.data() + std::size_t(srcB0) * image,
+                std::size_t(count) * image * sizeof(float));
+}
 
 /**
  * The per-(group, cluster) worker computation: element-wise products
@@ -41,60 +46,22 @@ void
 partialElementwiseForward(const WinoTiles &X, const WinoWeights &W,
                           int uv0, int uv1, WinoTiles &Y)
 {
-    const int bt = X.batch() * X.tiles();
-    for (int uv = uv0; uv < uv1; ++uv) {
-        for (int j = 0; j < W.outChannels(); ++j) {
-            float *yrow = Y.row(uv, j);
-            for (int i = 0; i < W.inChannels(); ++i) {
-                const float wji = W.at(uv, j, i);
-                if (wji == 0.0f)
-                    continue;
-                const float *xrow = X.row(uv, i);
-                for (int k = 0; k < bt; ++k)
-                    yrow[k] += wji * xrow[k];
-            }
-        }
-    }
+    stage::ewForward<WinoTiles, false>(X, W, groupSlice(X, uv0, uv1), Y);
 }
 
 void
 partialElementwiseBackwardData(const WinoTiles &dY, const WinoWeights &W,
                                int uv0, int uv1, WinoTiles &dX)
 {
-    const int bt = dY.batch() * dY.tiles();
-    for (int uv = uv0; uv < uv1; ++uv) {
-        for (int j = 0; j < W.outChannels(); ++j) {
-            const float *dyrow = dY.row(uv, j);
-            for (int i = 0; i < W.inChannels(); ++i) {
-                const float wji = W.at(uv, j, i);
-                if (wji == 0.0f)
-                    continue;
-                float *dxrow = dX.row(uv, i);
-                for (int k = 0; k < bt; ++k)
-                    dxrow[k] += wji * dyrow[k];
-            }
-        }
-    }
+    stage::ewBackwardData(dY, W, groupSlice(dY, uv0, uv1), dX);
 }
 
 /** Partial weight gradient of one worker: its uv slice, its batch. */
 void
 partialElementwiseGradWeights(const WinoTiles &dY, const WinoTiles &X,
-                              int uv0, int uv1, WinoWeights &dW_partial)
+                              int uv0, int uv1, WinoWeights &dW)
 {
-    const int bt = X.batch() * X.tiles();
-    for (int uv = uv0; uv < uv1; ++uv) {
-        for (int j = 0; j < dY.channels(); ++j) {
-            const float *dyrow = dY.row(uv, j);
-            for (int i = 0; i < X.channels(); ++i) {
-                const float *xrow = X.row(uv, i);
-                double acc = 0.0;
-                for (int k = 0; k < bt; ++k)
-                    acc += double(dyrow[k]) * xrow[k];
-                dW_partial.at(uv, j, i) += float(acc);
-            }
-        }
-    }
+    stage::ewGradWeights(dY, X, groupSlice(X, uv0, uv1), dW);
 }
 
 FunctionalResult
@@ -115,11 +82,14 @@ runFunctionalMpt(const Tensor &x, const Tensor &dy, const WinoWeights &W,
     res.y = Tensor(x.n(), dy.c(), x.h(), x.w());
     res.dx = Tensor(x.n(), x.c(), x.h(), x.w());
     res.dW = WinoWeights(algo.alpha, W.outChannels(), W.inChannels());
+    Tensor x_c(shard, x.c(), x.h(), x.w());
+    Tensor dy_c(shard, dy.c(), x.h(), x.w());
+    WinoWeights dW_c(algo.alpha, W.outChannels(), W.inChannels());
 
     for (int c = 0; c < nc; ++c) {
         const int b0 = c * shard;
-        Tensor x_c = batchShard(x, b0, shard);
-        Tensor dy_c = batchShard(dy, b0, shard);
+        copyImages(x, b0, x_c, 0, shard);
+        copyImages(dy, b0, dy_c, 0, shard);
 
         // --- fprop: scatter input tiles (each worker sees only its uv
         // slice), compute per group, gather output tiles.
@@ -134,7 +104,8 @@ runFunctionalMpt(const Tensor &x, const Tensor &dy, const WinoWeights &W,
                 uint64_t(uv_share) * (X.channels() + Y.channels()) *
                 shard * X.tiles() * uint64_t(ng - 1) / uint64_t(ng);
         }
-        pasteShard(res.y, inverseTransform(Y, algo, x.h(), x.w()), b0);
+        copyImages(inverseTransform(Y, algo, x.h(), x.w()), 0, res.y, b0,
+                   shard);
 
         // --- bprop: scatter dY, compute per group, gather dX.
         WinoTiles dYt = inverseTransformAdjoint(dy_c, algo);
@@ -146,18 +117,19 @@ runFunctionalMpt(const Tensor &x, const Tensor &dy, const WinoWeights &W,
                 uint64_t(uv_share) * (dYt.channels() + dXt.channels()) *
                 shard * dYt.tiles() * uint64_t(ng - 1) / uint64_t(ng);
         }
-        pasteShard(res.dx, transformInputAdjoint(dXt, algo, x.h(), x.w()),
-                   b0);
+        copyImages(transformInputAdjoint(dXt, algo, x.h(), x.w()), 0,
+                   res.dx, b0, shard);
 
         // --- updateGrad: every worker produces the partial gradient of
-        // its group's weight slice over its batch shard; accumulating
-        // into res.dW across clusters IS the ring reduction.
+        // its group's weight slice over its batch shard; adding each
+        // cluster's gradient into res.dW IS the ring reduction.
         for (int g = 0; g < ng; ++g) {
             partialElementwiseGradWeights(dYt, X, g * uv_share,
-                                          (g + 1) * uv_share, res.dW);
+                                          (g + 1) * uv_share, dW_c);
             res.weightElemsReduced +=
                 uint64_t(uv_share) * W.outChannels() * W.inChannels();
         }
+        res.dW += dW_c;
     }
     return res;
 }

@@ -8,10 +8,13 @@
  * executes one Winograd-layer training step exactly as the MPT
  * partitioning prescribes - batch split over N_c clusters, tile
  * elements split over N_g groups, explicit tile scatter/gather inside
- * each cluster, weight-gradient reduction inside each group - and
- * returns results that must match the single-worker reference to FP
- * accumulation tolerance. The integration tests assert exactly that:
- * MPT changes the schedule, never the math.
+ * each cluster, weight-gradient reduction inside each group - on the
+ * same stage kernels the single-worker plan runs. Every (uv, column)
+ * product is computed on its own, so y and dx are bitwise equal to the
+ * single-worker reference; dW is bitwise equal with one cluster and
+ * differs by the cross-cluster reduction order otherwise. The
+ * integration tests assert exactly that: MPT changes the schedule,
+ * never the math.
  */
 
 #ifndef WINOMC_MPT_FUNCTIONAL_HH
@@ -57,8 +60,10 @@ FunctionalResult runReference(const Tensor &x, const Tensor &dy,
                               const WinogradAlgo &algo);
 
 /**
- * Per-worker (group-slice) kernels: the element-wise dot products of
- * Equation (2) restricted to the uv range [uv0, uv1) one group owns.
+ * Per-worker (group-slice) kernels: the element-wise products of
+ * Equation (2) restricted to the uv range [uv0, uv1) one group owns,
+ * run by the plan's own stage kernels (winograd/stages.hh). Each
+ * assigns its slice of the destination and leaves the rest untouched.
  * These are what every (group, cluster) worker executes; the functional
  * emulation and the MptConvLayer compose them.
  * @{
@@ -72,6 +77,14 @@ void partialElementwiseGradWeights(const WinoTiles &dY,
                                    const WinoTiles &X, int uv0, int uv1,
                                    WinoWeights &dW);
 /** @} */
+
+/**
+ * Copy images [srcB0, srcB0 + count) of src into images [dstB0,
+ * dstB0 + count) of dst (same C, H, W): the batch shard scatter and
+ * gather between a layer and its clusters.
+ */
+void copyImages(const Tensor &src, int srcB0, Tensor &dst, int dstB0,
+                int count);
 
 } // namespace winomc::mpt
 

@@ -1,31 +1,8 @@
 #include "mpt/mpt_conv_layer.hh"
 
+#include "winograd/microkernel.hh"
+
 namespace winomc::mpt {
-
-namespace {
-
-/** Copy batch rows [b0, b0 + out.n()) of t into the pre-shaped out. */
-void
-shardInto(const Tensor &t, int b0, Tensor &out)
-{
-    for (int b = 0; b < out.n(); ++b)
-        for (int c = 0; c < t.c(); ++c)
-            for (int i = 0; i < t.h(); ++i)
-                for (int j = 0; j < t.w(); ++j)
-                    out.at(b, c, i, j) = t.at(b0 + b, c, i, j);
-}
-
-void
-pasteShard(Tensor &dst, const Tensor &shard, int b0)
-{
-    for (int b = 0; b < shard.n(); ++b)
-        for (int c = 0; c < shard.c(); ++c)
-            for (int i = 0; i < shard.h(); ++i)
-                for (int j = 0; j < shard.w(); ++j)
-                    dst.at(b0 + b, c, i, j) = shard.at(b, c, i, j);
-}
-
-} // namespace
 
 MptConvLayer::MptConvLayer(int in_ch, int out_ch, int r, int ng_,
                            int nc_, const WinogradAlgo &algo_, Rng &rng)
@@ -43,6 +20,7 @@ MptConvLayer::MptConvLayer(int in_ch, int out_ch, int r, int ng_,
     w.fillKaiming(rng);
     W = transformWeights(w, algo);
     dW = WinoWeights(algo.alpha, out_ch, in_ch);
+    gScratch = WinoWeights(algo.alpha, out_ch, in_ch);
 }
 
 MptConvLayer::MptConvLayer(const ConvSpec &spec, int ng_, int nc_,
@@ -92,31 +70,26 @@ MptConvLayer::forward(const Tensor &x, bool train)
 
     for (int c = 0; c < nc; ++c) {
         WinoPlan &plan = *plans[size_t(c)];
-        shardInto(x, c * shard, xShard);
-        // Undivided alpha^2 inference shards have no partial-product
-        // scatter/gather to satisfy, so the whole per-cluster forward
-        // can run through the fused strip pipeline. Grouped (ng > 1)
-        // or train-mode execution needs the plan slabs: the group loop
-        // accumulates into Yt and backward reads the cached Xt.
-        if (ng == 1 && !train && plan.shouldFuse(false)) {
-            plan.forwardFusedInto(xShard, W, yShard);
-            pasteShard(y, yShard, c * shard);
-            continue;
+        copyImages(x, c * shard, xShard, 0, shard);
+        if (ng == 1) {
+            // No tile element crosses a group boundary: the cluster is
+            // a single worker and runs the plan's own forward.
+            plan.forward(xShard, W, yShard, train);
+        } else {
+            plan.scatterInput(xShard);
+            for (int g = 0; g < ng; ++g) {
+                partialElementwiseForward(plan.inputTiles(), W,
+                                          g * uvShare, (g + 1) * uvShare,
+                                          plan.outputTilesMutable());
+                tileElems += uint64_t(uvShare) * (inCh + outCh) * shard *
+                             plan.tileGrid().tiles() * uint64_t(ng - 1) /
+                             uint64_t(ng);
+            }
+            plan.gatherOutputInto(yShard);
+            if (!train)
+                plan.invalidateCache();
         }
-        plan.scatterInput(xShard);
-        WinoTiles &Y = plan.outputTilesMutable();
-        Y.fill(0.0f); // the group loop accumulates partial products
-        for (int g = 0; g < ng; ++g) {
-            partialElementwiseForward(plan.inputTiles(), W, g * uvShare,
-                                      (g + 1) * uvShare, Y);
-            tileElems += uint64_t(uvShare) * (inCh + outCh) * shard *
-                         plan.tileGrid().tiles() * uint64_t(ng - 1) /
-                         uint64_t(ng);
-        }
-        plan.gatherOutputInto(yShard);
-        pasteShard(y, yShard, c * shard);
-        if (!train)
-            plan.invalidateCache();
+        copyImages(yShard, 0, y, c * shard, shard);
     }
     return y;
 }
@@ -134,27 +107,30 @@ MptConvLayer::backward(const Tensor &dy)
 
     for (int c = 0; c < nc; ++c) {
         WinoPlan &plan = *plans[size_t(c)];
-        shardInto(dy, c * shard, dyShard);
-        plan.transformGradOutput(dyShard);
-        WinoTiles &dXt = plan.gradInputTilesMutable();
-        dXt.fill(0.0f); // group loop accumulates partial products
-        for (int g = 0; g < ng; ++g) {
-            partialElementwiseBackwardData(plan.gradOutputTiles(), W,
-                                           g * uvShare,
-                                           (g + 1) * uvShare, dXt);
-            // The cross-cluster accumulation into dW below is the ring
-            // reduction of the group's weight slice.
-            partialElementwiseGradWeights(plan.gradOutputTiles(),
-                                          plan.inputTiles(),
-                                          g * uvShare,
-                                          (g + 1) * uvShare, dW);
-            tileElems += uint64_t(uvShare) * (inCh + outCh) * shard *
-                         plan.tileGrid().tiles() * uint64_t(ng - 1) /
-                         uint64_t(ng);
-            weightElems += uint64_t(uvShare) * inCh * outCh;
+        copyImages(dy, c * shard, dyShard, 0, shard);
+        if (ng == 1) {
+            plan.backward(dyShard, W, dxShard, gScratch);
+        } else {
+            plan.transformGradOutput(dyShard);
+            for (int g = 0; g < ng; ++g) {
+                partialElementwiseBackwardData(
+                    plan.gradOutputTiles(), W, g * uvShare,
+                    (g + 1) * uvShare, plan.gradInputTilesMutable());
+                partialElementwiseGradWeights(plan.gradOutputTiles(),
+                                              plan.inputTiles(),
+                                              g * uvShare,
+                                              (g + 1) * uvShare, gScratch);
+                tileElems += uint64_t(uvShare) * (inCh + outCh) * shard *
+                             plan.tileGrid().tiles() * uint64_t(ng - 1) /
+                             uint64_t(ng);
+            }
+            plan.gatherGradInputInto(dxShard);
         }
-        plan.gatherGradInputInto(dxShard);
-        pasteShard(dx, dxShard, c * shard);
+        // Adding each cluster's gradient into dW, in cluster order, is
+        // the ring reduction of every group's weight slice.
+        dW += gScratch;
+        weightElems += uint64_t(ng) * uvShare * inCh * outCh;
+        copyImages(dxShard, 0, dx, c * shard, shard);
     }
     return dx;
 }
@@ -165,8 +141,7 @@ MptConvLayer::step(float lr)
     if (!haveGrad)
         return;
     haveGrad = false;
-    dW *= -lr;
-    W += dW;
+    mk::kernels().axpy(W.raw(), -lr, dW.raw(), std::int64_t(W.size()));
     dW.fill(0.0f);
 }
 

@@ -6,15 +6,21 @@
  * a drop-in nn::Module that *is* the distributed execution, plus
  * communication accounting.
  *
- * Training a network built from these layers produces bit-equivalent
- * results (up to FP accumulation order) to training the single-worker
- * nn::ConvLayer in WinogradLayer mode - the end-to-end demonstration
- * that MPT changes the schedule, never the learned model.
+ * Every group runs the single-worker plan's own stage kernels on its uv
+ * slice, so the forward output and the input gradient are bitwise equal
+ * to the single-worker nn::ConvLayer in WinogradLayer mode for every
+ * (ng, nc), and with one cluster the weight gradient and the SGD update
+ * are too: the layers train in bitwise lockstep. With several clusters
+ * dW is summed cluster by cluster, which differs from the single-worker
+ * reduction only in FP accumulation order - the end-to-end
+ * demonstration that MPT changes the schedule, never the learned model.
  *
  * Each cluster owns a shape-bound WinoPlan: the plan slabs play the role
- * of the cluster's SRAM-resident tiles, and the partial element-wise
- * kernels accumulate straight into them, so steady-state steps allocate
- * nothing.
+ * of the cluster's SRAM-resident tiles, and the group kernels write
+ * straight into them, so steady-state steps allocate nothing. A
+ * cluster with one group is a single worker and runs the plan's own
+ * forward/backward (fused or staged, under the plan's ExecPolicy);
+ * grouped clusters run the fp32 kernels.
  */
 
 #ifndef WINOMC_MPT_MPT_CONV_LAYER_HH
@@ -68,6 +74,7 @@ class MptConvLayer : public nn::Module
     const WinogradAlgo &algo;
     WinoWeights W;
     WinoWeights dW;
+    WinoWeights gScratch; ///< one cluster's weight gradient
     bool haveGrad = false;
 
     /** One execution plan per cluster; plan slabs cache the forward

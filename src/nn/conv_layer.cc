@@ -169,22 +169,9 @@ ConvLayer::winogradForwardBody(const Tensor &x, bool train)
 {
     ensurePlan(x);
     Tensor y(x.n(), outCh, x.h(), x.w());
-    // A train-mode forward wants the plan's input-tile cache for the
-    // weight-gradient product, so Auto stays staged there; only an
-    // explicit WINOMC_FUSED=on fuses it, caching the raw activations
-    // instead and re-transforming them in backward().
-    if (execPlan->shouldFuse(train)) {
-        execPlan->forwardFusedInto(x, effectiveW(), y);
-    } else {
-        execPlan->forwardInto(x, effectiveW(), y);
-        if (!train)
-            execPlan->invalidateCache();
-    }
-    // Fused and half-precision forwards both leave the fp32 input-tile
-    // cache unpopulated; backward then rebuilds it from the raw
-    // activations (identical fp32 tiles either way).
-    if (train && !execPlan->inputCached())
-        cachedX = x;
+    // A train-mode forward leaves in the plan the input tiles the
+    // backward reads.
+    execPlan->forward(x, effectiveW(), y, train);
     return y;
 }
 
@@ -271,14 +258,8 @@ ConvLayer::backward(const Tensor &dy)
         return directConvBackwardData(dy, w);
     }
 
-    // A fused or half-precision forward bypassed the fp32 input-tile
-    // slab, so the cache the weight-gradient product needs does not
-    // exist yet — rebuild it from the cached activations (identical
-    // tiles regardless of how the forward ran; backward is full fp32).
-    if (!execPlan->inputCached())
-        execPlan->scatterInput(cachedX);
-    execPlan->transformGradOutput(dy);
-    execPlan->gradWeightsFromCachedInto(gScratch);
+    Tensor dx(dy.n(), inCh, lastH, lastW);
+    execPlan->backward(dy, W, dx, gScratch);
     if (convMode == ConvMode::WinogradLayer) {
         // Pinned pruned coefficients take exactly-zero gradient, so
         // they stay dead through the SGD update.
@@ -290,11 +271,6 @@ ConvLayer::backward(const Tensor &dy)
         transformWeightsAdjointInto(gScratch, *alg, dwScratch);
         dw += dwScratch;
     }
-    Tensor dx(dy.n(), inCh, lastH, lastW);
-    if (execPlan->shouldFuse(false))
-        execPlan->backwardDataFusedInto(dy, W, dx);
-    else
-        execPlan->backwardDataFromCachedInto(W, dx);
     return dx;
 }
 

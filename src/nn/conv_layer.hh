@@ -22,7 +22,11 @@
  * Winograd execution goes through a lazily-built WinoPlan (or
  * WinoDecompPlan) bound to the incoming shape: the plan owns every tile
  * slab and the layer keeps its gradient scratch, so steady-state
- * training steps allocate nothing.
+ * training steps allocate nothing. The layer makes one plan call per
+ * phase (forward, backward); whether that runs staged or fused, and
+ * which tiles it keeps for the backward, is the plan's decision. The
+ * layer keeps no copy of its input on the Winograd path: the plan's
+ * input tiles are what the weight gradient reads.
  *
  * Training through an Auto layer is supported wherever the gradients
  * are defined on the fast path's geometry: stride-1 odd square kernels
@@ -191,7 +195,7 @@ class ConvLayer : public Module
     /** Pinned-zero Winograd coefficients (pruneWinogradWeights). */
     std::unique_ptr<quant::PruneMask> pruneMask;
 
-    Tensor cachedX;    ///< input (direct-gradient paths / fused train)
+    Tensor cachedX;    ///< input (direct-gradient paths only)
     /** True iff the activations the backward pass needs were cached by
      *  a train-mode forward and not clobbered since. */
     bool trainCached = false;

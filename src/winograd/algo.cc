@@ -1,5 +1,10 @@
 #include "winograd/algo.hh"
 
+#include <map>
+#include <memory>
+#include <mutex>
+#include <utility>
+
 #include "common/logging.hh"
 #include "winograd/toom_cook.hh"
 
@@ -12,71 +17,69 @@ WinogradAlgo::name() const
            std::to_string(r) + "x" + std::to_string(r) + ")";
 }
 
-WinogradAlgo
+const WinogradAlgo &
 makeWinograd(int m, int r)
 {
-    ToomCookMatrices tc = generateToomCook(m, r);
-    WinogradAlgo a;
-    a.m = m;
-    a.r = r;
-    a.alpha = tc.alpha;
-    a.BT = toMatrix(tc.BT);
-    a.G = toMatrix(tc.G);
-    a.AT = toMatrix(tc.AT);
-    a.B = a.BT.transposed();
-    a.GT = a.G.transposed();
-    a.A = a.AT.transposed();
-    return a;
+    // Interned for the process lifetime (never destroyed, so static
+    // layers may still hold their algorithm during exit).
+    static std::mutex mu;
+    static auto *registry =
+        new std::map<std::pair<int, int>, std::unique_ptr<WinogradAlgo>>;
+    std::lock_guard<std::mutex> lk(mu);
+    std::unique_ptr<WinogradAlgo> &slot = (*registry)[{m, r}];
+    if (!slot) {
+        ToomCookMatrices tc = generateToomCook(m, r);
+        auto a = std::make_unique<WinogradAlgo>();
+        a->m = m;
+        a->r = r;
+        a->alpha = tc.alpha;
+        a->BT = toMatrix(tc.BT);
+        a->G = toMatrix(tc.G);
+        a->AT = toMatrix(tc.AT);
+        a->B = a->BT.transposed();
+        a->GT = a->G.transposed();
+        a->A = a->AT.transposed();
+        slot = std::move(a);
+    }
+    return *slot;
 }
 
 const WinogradAlgo &
 algoF2x2_3x3()
 {
-    static const WinogradAlgo a = makeWinograd(2, 3);
-    return a;
+    return makeWinograd(2, 3);
 }
 
 const WinogradAlgo &
 algoF4x4_3x3()
 {
-    static const WinogradAlgo a = makeWinograd(4, 3);
-    return a;
+    return makeWinograd(4, 3);
 }
 
 const WinogradAlgo &
 algoF2x2_5x5()
 {
-    static const WinogradAlgo a = makeWinograd(2, 5);
-    return a;
+    return makeWinograd(2, 5);
 }
 
 const WinogradAlgo &
 algoF6x6_3x3()
 {
-    static const WinogradAlgo a = makeWinograd(6, 3);
-    return a;
+    return makeWinograd(6, 3);
 }
 
 const WinogradAlgo &
 algoForTile(int m)
 {
-    switch (m) {
-      case 2:
-        return algoF2x2_3x3();
-      case 4:
-        return algoF4x4_3x3();
-      case 6:
-        return algoF6x6_3x3();
-    }
-    winomc_assert(false, "no F(m,3) candidate for tile edge m=", m);
-    return algoF4x4_3x3(); // unreachable
+    winomc_assert(m == 2 || m == 4 || m == 6,
+                  "no F(m,3) candidate for tile edge m=", m);
+    return makeWinograd(m, 3);
 }
 
 const WinogradAlgo &
 algoF2_3()
 {
-    static const WinogradAlgo a = makeWinograd(2, 3);
-    return a;
+    return makeWinograd(2, 3);
 }
 
 } // namespace winomc

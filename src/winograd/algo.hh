@@ -42,8 +42,13 @@ struct WinogradAlgo
     int tileElems() const { return alpha * alpha; }
 };
 
-/** Build F(m x m, r x r) from the exact Toom-Cook generator. */
-WinogradAlgo makeWinograd(int m, int r);
+/**
+ * The canonical F(m x m, r x r), built from the exact Toom-Cook
+ * generator on first request. Every call with the same (m, r) returns
+ * the same object, which lives for the rest of the process, so layers
+ * and plans may hold the reference (thread-safe).
+ */
+const WinogradAlgo &makeWinograd(int m, int r);
 
 /** The transforms used in the paper's evaluation. */
 const WinogradAlgo &algoF2x2_3x3();
@@ -52,14 +57,14 @@ const WinogradAlgo &algoF2x2_5x5();
 /** F(6x6,3x3): alpha = 8, the largest tile the micro-kernel panel
  *  layout supports (mk::kMaxAlpha) — the auto-tuner's top candidate. */
 const WinogradAlgo &algoF6x6_3x3();
-/** 1D F(2,3): tile 4x1 (for 3x1 filters, Section VII-B). */
+/** 1D F(2,3): tile 4x1 (for 3x1 filters, Section VII-B). The 1D
+ *  triple is the separable 2D one, so this is makeWinograd(2, 3). */
 const WinogradAlgo &algoF2_3();
 
 /**
- * The shared static F(m x m, 3 x 3) instance for tile edge m in
- * {2, 4, 6} — the auto-tuner's r = 3 candidate family (larger kernels
- * and strides reach these through DWM decomposition). Dies on any
- * other m.
+ * The canonical F(m x m, 3 x 3) for tile edge m in {2, 4, 6} — the
+ * auto-tuner's r = 3 candidate family (larger kernels and strides reach
+ * these through DWM decomposition). Dies on any other m.
  */
 const WinogradAlgo &algoForTile(int m);
 

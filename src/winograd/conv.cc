@@ -356,33 +356,36 @@ ewForward(const Tiles &X, const WinoWeights &W, const TileRange &r,
                       rowLen(X) >= std::size_t(kLen) &&
                       rowLen(Y) >= std::size_t(kLen),
                   "elementwise forward shape mismatch");
-    const int a2 = X.uvCount();
+    const int uv0 = r.uv0;
+    const int nuv = r.uvEnd(X.uvCount()) - uv0;
     const int nj = W.outChannels();
     const int ni = W.inChannels();
     const int jBlocks = (nj + kJBlock - 1) / kJBlock;
     const int kBlocks = (kLen + kKBlock - 1) / kKBlock;
     const auto &K = mk::kernels();
     GridProbe probe(r, "wino.ew.fwd", "ew.fwd",
-                    2.0 * a2 * double(nj) * ni * kLen);
+                    2.0 * nuv * double(nj) * ni * kLen);
 
     // Resolve the mask once into a per-(uv, k-block, row) byte table.
     // Every J-block task over one uv needs the same row liveness, so
     // querying the bit-packed mask from the GEMM inner loop would
     // repeat the panel walk jBlocks times per row; at this granularity
     // the walk itself, not the skipped FLOPs, dominates.
+    // Indexed by uv - uv0.
     std::vector<std::uint8_t> rowLive;
     if constexpr (Masked) {
-        rowLive.resize(std::size_t(a2) * kBlocks * ni);
-        forRange(r, a2, [&](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t uv = lo; uv < hi; ++uv)
+        rowLive.resize(std::size_t(nuv) * kBlocks * ni);
+        forRange(r, nuv, [&](std::int64_t lo, std::int64_t hi) {
+            for (std::int64_t u = lo; u < hi; ++u)
                 for (int kb = 0; kb < kBlocks; ++kb) {
                     const int k0 = kb * kKBlock;
                     const int kn = std::min(kKBlock, kLen - k0);
                     // Unit stride in i: the compaction scan walks this.
                     std::uint8_t *dst =
-                        rowLive.data() + (uv * kBlocks + kb) * ni;
+                        rowLive.data() + (u * kBlocks + kb) * ni;
                     for (int i = 0; i < ni; ++i)
-                        dst[i] = !mask->rowRangeZero(int(uv), i, k0, kn);
+                        dst[i] = !mask->rowRangeZero(int(uv0 + u), i, k0,
+                                                     kn);
                 }
         });
     }
@@ -391,7 +394,7 @@ ewForward(const Tiles &X, const WinoWeights &W, const TileRange &r,
     // over the uv x J-block output space; each task owns kJBlock Y
     // rows and zeroes the range's columns before accumulating.
     const std::size_t xrs = rowLen(X);
-    forRange(r, std::int64_t(a2) * jBlocks,
+    forRange(r, std::int64_t(nuv) * jBlocks,
              [&](std::int64_t lo, std::int64_t hi) {
         SkipTally tally;
         std::vector<const Elem *> xc(kCompact ? std::size_t(ni) : 0);
@@ -399,7 +402,7 @@ ewForward(const Tiles &X, const WinoWeights &W, const TileRange &r,
         std::vector<std::uint8_t> grp(
             kCompact ? std::size_t((ni + kIUnroll - 1) / kIUnroll) : 0);
         for (std::int64_t task = lo; task < hi; ++task) {
-            const int uv = int(task / jBlocks);
+            const int uv = uv0 + int(task / jBlocks);
             const int j0 = int(task % jBlocks) * kJBlock;
             const int jn = std::min(kJBlock, nj - j0);
             float *yrows[kJBlock];
@@ -448,7 +451,8 @@ ewForward(const Tiles &X, const WinoWeights &W, const TileRange &r,
                     const std::uint8_t *live = nullptr;
                     if constexpr (Masked)
                         live = rowLive.data() +
-                               (std::size_t(uv) * kBlocks + k0 / kKBlock) *
+                               (std::size_t(uv - uv0) * kBlocks +
+                                k0 / kKBlock) *
                                    ni;
                     for (int jj = 0; jj < jn; ++jj) {
                         const float *wrow =
@@ -505,21 +509,22 @@ ewBackwardData(const WinoTiles &dY, const WinoWeights &W,
                       rowLen(dY) >= std::size_t(kLen) &&
                       rowLen(dX) >= std::size_t(kLen),
                   "elementwise backward-data shape mismatch");
-    const int a2 = dY.uvCount();
+    const int uv0 = r.uv0;
+    const int nuv = r.uvEnd(dY.uvCount()) - uv0;
     const int nj = W.outChannels();
     const int ni = W.inChannels();
     const int iBlocks = (ni + kJBlock - 1) / kJBlock;
     const auto &K = mk::kernels();
     GridProbe probe(r, "wino.ew.bwd_data", "ew.bwd_data",
-                    2.0 * a2 * double(nj) * ni * kLen);
+                    2.0 * nuv * double(nj) * ni * kLen);
 
     // dX[uv] (I x cols) = W[uv]^T (I x J) * dY[uv] (J x cols): the
     // blocked forward body with the roles of I and J swapped. The
     // weight register block W.at(uv, j, i0..i0+3) is contiguous.
-    forRange(r, std::int64_t(a2) * iBlocks,
+    forRange(r, std::int64_t(nuv) * iBlocks,
              [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t task = lo; task < hi; ++task) {
-            const int uv = int(task / iBlocks);
+            const int uv = uv0 + int(task / iBlocks);
             const int i0 = int(task % iBlocks) * kJBlock;
             const int in = std::min(kJBlock, ni - i0);
             float *dxrows[kJBlock];
@@ -554,7 +559,8 @@ ewBackwardData(const WinoTiles &dY, const WinoWeights &W,
 }
 
 void
-ewGradWeights(const WinoTiles &dY, const WinoTiles &X, WinoWeights &dW)
+ewGradWeights(const WinoTiles &dY, const WinoTiles &X, const TileRange &r,
+              WinoWeights &dW)
 {
     WINOMC_SPAN("wino.ew.grad_weights", "wino");
     winomc_assert(dY.batch() == X.batch() && dY.tiles() == X.tiles() &&
@@ -565,21 +571,25 @@ ewGradWeights(const WinoTiles &dY, const WinoTiles &X, WinoWeights &dW)
                   dW.inChannels() == X.channels(),
                   "weight gradient destination shape mismatch");
     const int bt = X.batch() * X.tiles();
+    winomc_assert(r.grid && r.cols() == bt,
+                  "weight gradient needs a whole-grid range");
+    const int uv0 = r.uv0;
+    const int nuv = r.uvEnd(X.uvCount()) - uv0;
     const int nj = dY.channels();
     const int ni = X.channels();
     const int jBlocks = (nj + kJBlock - 1) / kJBlock;
     const auto &K = mk::kernels();
     StageTimer probe("ew.grad_weights",
-                     2.0 * X.uvCount() * double(nj) * ni * bt);
+                     2.0 * nuv * double(nj) * ni * bt);
 
     // dW[uv] (J x I) = dY[uv] (J x BT) * X[uv]^T (BT x I). Partitioned
     // over the *output* (uv, J-block) space: every dW element is owned
     // by exactly one task and its reduction runs over k in ascending
     // order, so results are bitwise identical for any thread count.
-    parallelFor(0, std::int64_t(X.uvCount()) * jBlocks, 1,
+    parallelFor(0, std::int64_t(nuv) * jBlocks, 1,
                 [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t task = lo; task < hi; ++task) {
-            const int uv = int(task / jBlocks);
+            const int uv = uv0 + int(task / jBlocks);
             const int j0 = int(task % jBlocks) * kJBlock;
             const int jn = std::min(kJBlock, nj - j0);
             double acc[kJBlock][kIBlock];
@@ -767,7 +777,7 @@ WinoWeights
 elementwiseGradWeights(const WinoTiles &dY, const WinoTiles &X)
 {
     WinoWeights dW(X.alphaEdge(), dY.channels(), X.channels());
-    stage::ewGradWeights(dY, X, dW);
+    stage::ewGradWeights(dY, X, TileRange::whole(X.batch(), X.tiles()), dW);
     return dW;
 }
 
@@ -802,11 +812,7 @@ winogradForward(const Tensor &x, const WinoWeights &W,
     WinoPlan plan(algo, x.n(), W.inChannels(), W.outChannels(), x.h(),
                   x.w());
     Tensor y(x.n(), W.outChannels(), x.h(), x.w());
-    // Transient plan, nobody reads its tile caches afterwards.
-    if (plan.shouldFuse(false))
-        plan.forwardFusedInto(x, W, y);
-    else
-        plan.forwardInto(x, W, y);
+    plan.forward(x, W, y, false);
     return y;
 }
 
@@ -819,10 +825,7 @@ winogradBackwardData(const Tensor &dy, const WinoWeights &W,
                   "share spatial size");
     WinoPlan plan(algo, dy.n(), W.inChannels(), W.outChannels(), h, w);
     Tensor dx(dy.n(), W.inChannels(), h, w);
-    if (plan.shouldFuse(false))
-        plan.backwardDataFusedInto(dy, W, dx);
-    else
-        plan.backwardDataInto(dy, W, dx);
+    plan.backwardDataInto(dy, W, dx);
     return dx;
 }
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cstdlib>
 
+#include "common/env.hh"
 #include "winograd/microkernel.hh"
 
 namespace winomc {
@@ -13,16 +13,6 @@ namespace {
 
 std::atomic<int> gPrec{-1};   ///< -1 = unresolved (parse env once)
 std::atomic<int> gSparse{-1}; ///< -1 = unresolved (parse env once)
-
-std::string
-normalized(const char *str)
-{
-    std::string s;
-    for (const char *p = str; *p; ++p)
-        if (!std::isspace(static_cast<unsigned char>(*p)))
-            s += char(std::tolower(static_cast<unsigned char>(*p)));
-    return s;
-}
 
 } // namespace
 
@@ -49,18 +39,14 @@ precBytes(Prec p)
 Prec
 parsePrec(const char *str)
 {
-    if (!str || !*str)
-        return Prec::F32;
-    const std::string s = normalized(str);
-    if (s == "fp32" || s == "f32")
-        return Prec::F32;
-    if (s == "fp16" || s == "f16")
-        return Prec::F16;
-    if (s == "bf16" || s == "bfloat16")
-        return Prec::Bf16;
-    winomc_warn("ignoring unrecognized WINOMC_PREC '", str,
-                "' (want fp32|fp16|bf16)");
-    return Prec::F32;
+    return env::parseChoice("WINOMC_PREC", str,
+                            {{"fp32", int(Prec::F32)},
+                             {"f32", int(Prec::F32)},
+                             {"fp16", int(Prec::F16)},
+                             {"f16", int(Prec::F16)},
+                             {"bf16", int(Prec::Bf16)},
+                             {"bfloat16", int(Prec::Bf16)}},
+                            Prec::F32);
 }
 
 Prec
@@ -84,16 +70,14 @@ setPrec(Prec p)
 bool
 parseSparse(const char *str)
 {
-    if (!str || !*str)
-        return false;
-    const std::string s = normalized(str);
-    if (s == "on" || s == "1" || s == "true")
-        return true;
-    if (s == "off" || s == "0" || s == "false")
-        return false;
-    winomc_warn("ignoring unrecognized WINOMC_SPARSE '", str,
-                "' (want on|off)");
-    return false;
+    return env::parseChoice("WINOMC_SPARSE", str,
+                            {{"on", 1},
+                             {"1", 1},
+                             {"true", 1},
+                             {"off", 0},
+                             {"0", 0},
+                             {"false", 0}},
+                            0) != 0;
 }
 
 bool

@@ -12,11 +12,11 @@
 #include "winograd/microkernel.hh"
 
 #include <atomic>
-#include <cctype>
 #include <cstdlib>
 #include <mutex>
 #include <string>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 
@@ -104,26 +104,13 @@ isaName(Isa isa)
 Isa
 parseIsa(const char *str)
 {
-    if (!str || !*str)
-        return Isa::Auto;
-    // Trim whitespace, lowercase: "  AVX2 " parses like "avx2".
-    std::string s;
-    for (const char *p = str; *p; ++p)
-        if (!std::isspace(static_cast<unsigned char>(*p)))
-            s += char(std::tolower(static_cast<unsigned char>(*p)));
-    if (s == "auto")
-        return Isa::Auto;
-    if (s == "scalar")
-        return Isa::Scalar;
-    if (s == "sse2")
-        return Isa::Sse2;
-    if (s == "avx2")
-        return Isa::Avx2;
-    if (s == "avx512")
-        return Isa::Avx512;
-    winomc_warn("ignoring unrecognized WINOMC_ISA '", str,
-                "' (want auto|scalar|sse2|avx2|avx512)");
-    return Isa::Auto;
+    return env::parseChoice("WINOMC_ISA", str,
+                            {{"auto", int(Isa::Auto)},
+                             {"scalar", int(Isa::Scalar)},
+                             {"sse2", int(Isa::Sse2)},
+                             {"avx2", int(Isa::Avx2)},
+                             {"avx512", int(Isa::Avx512)}},
+                            Isa::Auto);
 }
 
 Isa

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <type_traits>
 
+#include "common/env.hh"
 #include "common/metrics.hh"
 #include "common/parallel.hh"
 #include "common/trace.hh"
@@ -62,21 +62,11 @@ fusedModeName(FusedMode m)
 FusedMode
 parseFusedMode(const char *str)
 {
-    if (!str || !*str)
-        return FusedMode::Auto;
-    std::string s;
-    for (const char *p = str; *p; ++p)
-        if (!std::isspace(static_cast<unsigned char>(*p)))
-            s += char(std::tolower(static_cast<unsigned char>(*p)));
-    if (s == "auto")
-        return FusedMode::Auto;
-    if (s == "on")
-        return FusedMode::On;
-    if (s == "off")
-        return FusedMode::Off;
-    winomc_warn("ignoring unrecognized WINOMC_FUSED '", str,
-                "' (want auto|on|off)");
-    return FusedMode::Auto;
+    return env::parseChoice("WINOMC_FUSED", str,
+                            {{"auto", int(FusedMode::Auto)},
+                             {"on", int(FusedMode::On)},
+                             {"off", int(FusedMode::Off)}},
+                            FusedMode::Auto);
 }
 
 FusedMode
@@ -191,7 +181,7 @@ WinoPlan::workspaceBytes() const
 }
 
 bool
-WinoPlan::shouldFuse(bool preserveTileCaches) const
+WinoPlan::shouldFuse(bool train) const
 {
     switch (requestedFusedMode()) {
       case FusedMode::Off:
@@ -201,10 +191,12 @@ WinoPlan::shouldFuse(bool preserveTileCaches) const
       case FusedMode::Auto:
         break;
     }
-    if (preserveTileCaches)
+    // A train-mode forward needs the input-tile slab for the backward
+    // anyway, so it stays staged.
+    if (train)
         return false;
     // Fuse once the staged forward slabs overflow cache; below that,
-    // staged is already cache-resident and keeps its tile caches.
+    // staged is already cache-resident.
     return (slab.in.size() + slab.out.size()) * sizeof(float) >=
            kFusedAutoMinSlabBytes;
 }
@@ -326,15 +318,33 @@ WinoPlan::publishTraffic(const char *mode, const char *phase,
 }
 
 void
-WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y)
+WinoPlan::forward(const Tensor &x, const WinoWeights &W, Tensor &y,
+                  bool train)
+{
+    checkShapes(x, ni, W, y, nj, "forward");
+    const bool fused = shouldFuse(train);
+    if (fused)
+        forwardFused(x, W, y);
+    else
+        forwardStaged(x, W, y);
+    // Fused and 16-bit forwards bypass the fp32 input slab.
+    haveInput = !fused && fp32Input;
+    haveOutput = !fused;
+    if (!train) {
+        invalidateCache();
+        return;
+    }
+    // The backward's weight-gradient product reads fp32 input tiles
+    // (identical however the forward ran).
+    if (!haveInput)
+        scatterInput(x);
+}
+
+void
+WinoPlan::forwardStaged(const Tensor &x, const WinoWeights &W, Tensor &y)
 {
     WINOMC_SPAN("wino.phase.fwd", "wino");
-    checkShapes(x, ni, W, y, nj, "forwardInto");
     (this->*fwdRange)(x, W, y, TileRange::whole(nb, grid.tiles()), slab);
-    // A 16-bit forward bypasses the fp32 Xt slab; tile-cache consumers
-    // must scatterInput (backward stays full fp32).
-    haveInput = fp32Input;
-    haveOutput = true;
     if (metrics::enabled()) {
         const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
         const double out = double(nb) * nj * fh * fw;
@@ -351,11 +361,9 @@ WinoPlan::forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y)
 }
 
 void
-WinoPlan::forwardFusedInto(const Tensor &x, const WinoWeights &W,
-                           Tensor &y)
+WinoPlan::forwardFused(const Tensor &x, const WinoWeights &W, Tensor &y)
 {
     WINOMC_SPAN("wino.fused.fwd", "wino");
-    checkShapes(x, ni, W, y, nj, "forwardFusedInto");
     const int nt = grid.tiles();
     const int nStrips = stripCount();
     const int a = alg.alpha;
@@ -382,8 +390,6 @@ WinoPlan::forwardFusedInto(const Tensor &x, const WinoWeights &W,
         }
         releaseStripSlot(s);
     });
-    // The slabs were bypassed; previously cached tiles are now stale.
-    haveInput = haveOutput = false;
     if (metrics::enabled()) {
         const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
         const double f = double(sizeof(float));
@@ -398,11 +404,35 @@ WinoPlan::forwardFusedInto(const Tensor &x, const WinoWeights &W,
 }
 
 void
+WinoPlan::backward(const Tensor &dy, const WinoWeights &W, Tensor &dx,
+                   WinoWeights &dW)
+{
+    winomc_assert(haveInput,
+                  "WinoPlan::backward without a train-mode forward: "
+                  "the input tiles are stale");
+    checkShapes(dy, nj, W, dx, ni, "backward");
+    transformGradOutput(dy);
+    const TileRange whole = TileRange::whole(nb, grid.tiles());
+    stage::ewGradWeights(gradSlab.out, slab.in, whole, dW);
+    if (shouldFuse(false)) {
+        backwardDataFused(dy, W, dx);
+        return;
+    }
+    stage::ewBackwardData(gradSlab.out, W, whole, gradSlab.in);
+    stage::scatter(TileMap(Side::InputAdjoint, alg, grid), gradSlab.in,
+                   whole, dx);
+}
+
+void
 WinoPlan::backwardDataInto(const Tensor &dy, const WinoWeights &W,
                            Tensor &dx)
 {
-    WINOMC_SPAN("wino.phase.bwd_data", "wino");
     checkShapes(dy, nj, W, dx, ni, "backwardDataInto");
+    if (shouldFuse(false)) {
+        backwardDataFused(dy, W, dx);
+        return;
+    }
+    WINOMC_SPAN("wino.phase.bwd_data", "wino");
     backwardDataRange(dy, W, dx, TileRange::whole(nb, grid.tiles()),
                       gradSlab);
     haveGrad = true;
@@ -424,11 +454,10 @@ WinoPlan::backwardDataInto(const Tensor &dy, const WinoWeights &W,
 }
 
 void
-WinoPlan::backwardDataFusedInto(const Tensor &dy, const WinoWeights &W,
-                                Tensor &dx)
+WinoPlan::backwardDataFused(const Tensor &dy, const WinoWeights &W,
+                            Tensor &dx)
 {
     WINOMC_SPAN("wino.fused.bwd_data", "wino");
-    checkShapes(dy, nj, W, dx, ni, "backwardDataFusedInto");
     const int nt = grid.tiles();
     const int nStrips = stripCount();
     const int a = alg.alpha;
@@ -476,7 +505,8 @@ WinoPlan::gradWeightsInto(const Tensor &x, const Tensor &dy,
     WINOMC_SPAN("wino.phase.grad_weights", "wino");
     scatterInput(x);
     transformGradOutput(dy);
-    stage::ewGradWeights(gradSlab.out, slab.in, dW);
+    stage::ewGradWeights(gradSlab.out, slab.in,
+                         TileRange::whole(nb, grid.tiles()), dW);
 }
 
 void
@@ -486,26 +516,6 @@ WinoPlan::transformGradOutput(const Tensor &dy)
                                     dy, TileRange::whole(nb, grid.tiles()),
                                     gradSlab.out);
     haveGrad = true;
-}
-
-void
-WinoPlan::gradWeightsFromCachedInto(WinoWeights &dW)
-{
-    winomc_assert(haveInput && haveGrad,
-                  "gradWeightsFromCachedInto without cached forward "
-                  "tiles and transformed grad-output");
-    stage::ewGradWeights(gradSlab.out, slab.in, dW);
-}
-
-void
-WinoPlan::backwardDataFromCachedInto(const WinoWeights &W, Tensor &dx)
-{
-    winomc_assert(haveGrad, "backwardDataFromCachedInto before "
-                            "transformGradOutput");
-    const TileRange whole = TileRange::whole(nb, grid.tiles());
-    stage::ewBackwardData(gradSlab.out, W, whole, gradSlab.in);
-    stage::scatter(TileMap(Side::InputAdjoint, alg, grid), gradSlab.in,
-                   whole, dx);
 }
 
 void
@@ -543,9 +553,8 @@ const WinoTiles &
 WinoPlan::outputTiles() const
 {
     winomc_assert(haveOutput,
-                  "output tiles not populated (a fused forward bypasses "
-                  "the tile slabs; tile-cache consumers need the staged "
-                  "path, i.e. WINOMC_FUSED=auto or off)");
+                  "output tiles not populated (only a staged train-mode "
+                  "forward keeps them: WINOMC_FUSED=auto or off)");
     return slab.out;
 }
 
@@ -807,11 +816,7 @@ WinoDecompPlan::forwardInto(const Tensor &x, Tensor &y)
             }
         });
 
-        if (inner->shouldFuse(false))
-            inner->forwardFusedInto(xGather, unitW[u], yTerm);
-        else
-            inner->forwardInto(xGather, unitW[u], yTerm);
-        inner->invalidateCache();
+        inner->forward(xGather, unitW[u], yTerm, false);
 
         // Crop-accumulate the term's interior into y.
         const float *tbase = yTerm.data();

@@ -16,7 +16,9 @@
  * The execution policy (WINOMC_PREC / WINOMC_SPARSE) is resolved once,
  * at construction, into the storage and mask the forward kernels run
  * with; the staged and fused forwards then call the same per-range
- * forward without consulting the policy again.
+ * forward without consulting the policy again. Which of the two runs is
+ * decided inside the plan too, per call (WINOMC_FUSED): a layer makes
+ * one forward() and one backward() call per training step.
  *
  * Lifecycle: layers build a plan lazily on the first forward and rebuild
  * only when the incoming shape stops matching (matches()). The plan
@@ -52,14 +54,15 @@ struct TileRange;
 
 /**
  * WINOMC_FUSED knob: picks between the staged pipeline (full slabs
- * between stages) and the fused tile-strip pipeline (§4.11).
+ * between stages) and the fused tile-strip pipeline (§4.11). Only
+ * WinoPlan reads it (WinoPlan::shouldFuse).
  *
  *  - Off:  always staged.
- *  - Auto: fused when the plan's shape qualifies (slabs overflow cache
- *          and no caller needs the tile caches), staged otherwise.
+ *  - Auto: fused when the plan's shape qualifies (slabs overflow cache,
+ *          and not a train-mode forward), staged otherwise.
  *  - On:   fused wherever a fused path exists, regardless of size —
- *          including train-mode layer forwards, whose backward then
- *          rebuilds the input tiles from the cached activations.
+ *          including train-mode forwards, which then gather the fp32
+ *          input tiles their backward reads.
  */
 enum class FusedMode : int { Off = 0, Auto = 1, On = 2 };
 
@@ -114,61 +117,51 @@ class WinoPlan
     std::size_t workspaceBytes() const;
 
     // -----------------------------------------------------------------
-    // One-shot pipelines (the free winograd* wrappers route through
-    // transient plans built on these). Each fully rewrites the slabs it
-    // touches; forwardInto leaves inputTiles()/outputTiles() caching the
-    // transformed activations of x.
+    // Layer execution. The plan alone decides, per call, whether a
+    // phase runs staged (whole-grid slabs between stages) or fused
+    // (per cache-resident tile strip, slabs bypassed; §4.11): see
+    // shouldFuse(). Both schedules are bitwise identical at every ISA
+    // level and for any thread count, so callers never branch on it.
     // -----------------------------------------------------------------
 
     /**
-     * y = winograd_conv(x, W); caches X and Y tiles in the plan.
-     * Executes under policy(): a sparse fp32 policy routes through the
-     * zero-skipping kernels (bitwise identical output, Xt still
-     * cached); a half policy stores the transformed activations in 16
-     * bits — the fp32 Xt slab is then NOT populated (inputCached()
-     * stays false) and callers needing input tiles must scatterInput.
+     * y = winograd_conv(x, W) under policy(): a sparse fp32 policy runs
+     * the zero-skipping kernels (bitwise identical output), a half
+     * policy stores the transformed activations in 16 bits.
+     *
+     * train = true keeps what backward() needs: the fp32 input tiles of
+     * x. A forward that bypassed the fp32 input slab (fused, or 16-bit
+     * storage) gathers it before returning, the one fp32 gather the
+     * backward's weight-gradient product reads (backward stays full
+     * fp32). train = false leaves every tile cache invalid.
      */
-    void forwardInto(const Tensor &x, const WinoWeights &W, Tensor &y);
-    /** dx from dy through the pipeline adjoint (no cached state used). */
+    void forward(const Tensor &x, const WinoWeights &W, Tensor &y,
+                 bool train);
+
+    /**
+     * The training backward of the last train-mode forward: dW
+     * (assigned, not accumulated) from the cached input tiles and the
+     * transformed dy, and dx through the pipeline adjoint. Dies when
+     * the last forward was not a train-mode one.
+     */
+    void backward(const Tensor &dy, const WinoWeights &W, Tensor &dx,
+                  WinoWeights &dW);
+
+    /** dx from dy through the pipeline adjoint (one-shot: no cached
+     *  state used). */
     void backwardDataInto(const Tensor &dy, const WinoWeights &W,
                           Tensor &dx);
-    /** dW (assigned, not accumulated) from x and dy. */
+    /** dW (assigned, not accumulated) from x and dy (one-shot). */
     void gradWeightsInto(const Tensor &x, const Tensor &dy,
                          WinoWeights &dW);
 
-    // -----------------------------------------------------------------
-    // Fused tile-strip pipeline (§4.11): the staged pipeline's own
-    // range kernels (transform -> per-(K,C) panel accumulation ->
-    // inverse transform) run per L2-sized strip of the tile grid,
-    // touching only per-worker strip scratch — the full Xt/Yt/dYt/dXt
-    // slabs are bypassed entirely. Bitwise identical to the staged
-    // pipeline at every ISA level and for any thread count. Leaves the
-    // plan's tile caches invalid (there are no slab tiles to cache);
-    // callers needing inputTiles()/outputTiles() must use the staged
-    // path.
-    // -----------------------------------------------------------------
-
     /**
-     * Resolve the WINOMC_FUSED knob for this plan. Pass
-     * preserveTileCaches = true when the caller will later read the
-     * plan's tile caches (e.g. a train-mode layer forward): Auto then
-     * refuses to fuse; only an explicit WINOMC_FUSED=on overrides it.
+     * The WINOMC_FUSED decision a phase takes: fused under On, staged
+     * under Off; under Auto fused once the staged forward slabs
+     * overflow cache, except for a train-mode forward (whose slab the
+     * backward reads anyway).
      */
-    bool shouldFuse(bool preserveTileCaches) const;
-
-    /** y = winograd_conv(x, W) per cache-resident tile strip. */
-    void forwardFusedInto(const Tensor &x, const WinoWeights &W,
-                          Tensor &y);
-
-    /**
-     * dx from dy per tile strip. Re-gathers dy per strip (an m x m
-     * gather per tile — cheaper than streaming the a^2-wide dYt slab),
-     * so no cached state is used or produced. Strips of one image run
-     * serially in ascending order (overlap-add order is part of the
-     * bitwise contract); the batch axis is the parallel unit.
-     */
-    void backwardDataFusedInto(const Tensor &dy, const WinoWeights &W,
-                               Tensor &dx);
+    bool shouldFuse(bool train) const;
 
     /** Tiles per strip (multiple of mk::kTilePanel). */
     int stripTiles() const { return stripT; }
@@ -179,33 +172,21 @@ class WinoPlan
     }
 
     // -----------------------------------------------------------------
-    // Staged training-step API: forwardInto caches the input tiles;
-    // transformGradOutput computes the grad-output tiles once, and both
-    // gradient products then reuse them without re-transforming.
-    // -----------------------------------------------------------------
-
-    /** dYt = A dy A^T per tile; prerequisite of the FromCached calls. */
-    void transformGradOutput(const Tensor &dy);
-    /** dW (assigned) from the cached X tiles and grad-output tiles. */
-    void gradWeightsFromCachedInto(WinoWeights &dW);
-    /** dx from the grad-output tiles through W^T and the input adjoint. */
-    void backwardDataFromCachedInto(const WinoWeights &W, Tensor &dx);
-
-    // -----------------------------------------------------------------
-    // Partial-execution access (mpt::MptConvLayer): scatterInput and
-    // transformGradOutput move into the Winograd domain, the gathers
-    // move back; the partial element-wise kernels of mpt/functional.hh
-    // accumulate directly into the plan-owned slabs in between. Callers
-    // zero outputTilesMutable() / gradInputTilesMutable() before a fresh
-    // accumulation pass — a zeroed reused slab is bitwise identical to
-    // a fresh one.
+    // Phase access for MPT groups (mpt::MptConvLayer): scatterInput and
+    // transformGradOutput move into the Winograd domain (whole-grid,
+    // fp32), each group then runs the element-wise stage kernels on its
+    // uv slice of the plan-owned slabs, and the gathers move back. The
+    // slices partition the tile elements and every kernel assigns its
+    // slice, so no slab needs zeroing between passes.
     // -----------------------------------------------------------------
 
     /** Xt = B^T x B per tile (marks the input cache valid). */
     void scatterInput(const Tensor &x);
-    /** y = inverse transform of the (accumulated) output tiles. */
+    /** dYt = A dy A^T per tile (marks the grad-output cache valid). */
+    void transformGradOutput(const Tensor &dy);
+    /** y = inverse transform of the output tiles. */
     void gatherOutputInto(Tensor &y);
-    /** dx = overlap-add adjoint of the (accumulated) grad-input tiles. */
+    /** dx = overlap-add adjoint of the grad-input tiles. */
     void gatherGradInputInto(Tensor &dx);
 
     const WinoTiles &inputTiles() const;
@@ -214,9 +195,7 @@ class WinoPlan
     WinoTiles &outputTilesMutable() { return slab.out; }
     WinoTiles &gradInputTilesMutable() { return gradSlab.in; }
 
-    /** Is the input-tile cache populated (by forwardInto/scatterInput)? */
-    bool inputCached() const { return haveInput; }
-    /** Drop cache-validity (e.g. after an inference-only forward). */
+    /** Drop cache-validity (e.g. when a pooled plan is re-leased). */
     void invalidateCache() { haveInput = haveOutput = haveGrad = false; }
 
   private:
@@ -265,6 +244,14 @@ class WinoPlan
     void backwardDataRange(const Tensor &dy, const WinoWeights &W,
                            Tensor &dx, const stage::TileRange &r,
                            TileSet &s);
+
+    /** The two schedules of forward(): whole grid into the slabs, or
+     *  per strip into per-worker strip slots. */
+    void forwardStaged(const Tensor &x, const WinoWeights &W, Tensor &y);
+    void forwardFused(const Tensor &x, const WinoWeights &W, Tensor &y);
+    /** Per-strip backward data (dy re-gathered per strip). */
+    void backwardDataFused(const Tensor &dy, const WinoWeights &W,
+                           Tensor &dx);
 
     /** Publish wino.<mode>.<phase> traffic counters + predicted gauge
      *  (no-op when metrics are disabled). Args are bytes, so streams

@@ -15,7 +15,8 @@
  * mask are template parameters: a plan picks the instantiation once,
  * from the ExecPolicy it captured, instead of branching per call.
  *
- * Internal to the winograd library: the public stage API is
+ * Internal to the winograd library and to mpt/, whose groups run the
+ * element-wise kernels on their uv slices: the public stage API is
  * winograd/conv.hh.
  */
 
@@ -41,6 +42,12 @@ constexpr int kMaxAlpha = 8;
  * [b0, b1). Source image b lands at destination batch b - b0 and tile t
  * at destination tile t - t0, so a whole-grid range maps the plan slabs
  * one to one and a strip lands at the start of batch-1 strip scratch.
+ *
+ * The element-wise kernels also honour a tile-element slice [uv0, uv1)
+ * (every element by default): an MPT group computes only the products
+ * of the uv coefficients it owns. Each (uv, column) product is computed
+ * on its own, so a slice reproduces its share of the full call bit for
+ * bit.
  */
 struct TileRange
 {
@@ -49,6 +56,7 @@ struct TileRange
     /** Whole-grid staged call: pool-parallel and traced. Otherwise one
      *  serial strip (the caller's strip loop is the parallel unit). */
     bool grid;
+    int uv0 = 0, uv1 = kMaxAlpha * kMaxAlpha;
 
     static TileRange
     whole(int batch, int tiles)
@@ -60,8 +68,19 @@ struct TileRange
     {
         return {b, b + 1, t0, tcnt, false};
     }
+    /** The same tiles, restricted to tile elements [lo, hi). */
+    TileRange
+    uvSlice(int lo, int hi) const
+    {
+        TileRange r = *this;
+        r.uv0 = lo;
+        r.uv1 = hi;
+        return r;
+    }
     /** Length of the element-wise GEMM's streamed (batch*tile) axis. */
     int cols() const { return (b1 - b0) * tcnt; }
+    /** End of the uv slice for a tile of a2 elements. */
+    int uvEnd(int a2) const { return uv1 < a2 ? uv1 : a2; }
 };
 
 /** The four spatial <-> Winograd-domain maps of the pipeline. */
@@ -114,24 +133,27 @@ void scatter(const TileMap &mp, const WinoTiles &src, const TileRange &r,
              Tensor &dst);
 
 /**
- * Y[uv] = W[uv] * X[uv] over the range's columns (assigned, not
- * accumulated). One task loop over three column bodies: the blocked fp32
- * panel kernel, the zero-skipping grouped kernel (Masked fp32) and the
- * 16-bit kernel (HalfTiles, zero-skipping when Masked). The skipping
- * bodies publish the quant.ew.* counters.
+ * Y[uv] = W[uv] * X[uv] over the range's columns and uv slice
+ * (assigned, not accumulated). One task loop over three column bodies:
+ * the blocked fp32 panel kernel, the zero-skipping grouped kernel
+ * (Masked fp32) and the 16-bit kernel (HalfTiles, zero-skipping when
+ * Masked). The skipping bodies publish the quant.ew.* counters.
  */
 template <class Tiles, bool Masked>
 void ewForward(const Tiles &X, const WinoWeights &W, const TileRange &r,
                WinoTiles &Y, const ActMask *mask = nullptr,
                int halfKind = 0);
 
-/** dX[uv] = W[uv]^T * dY[uv] over the range's columns (assigned). */
+/** dX[uv] = W[uv]^T * dY[uv] over the range's columns and uv slice
+ *  (assigned). */
 void ewBackwardData(const WinoTiles &dY, const WinoWeights &W,
                     const TileRange &r, WinoTiles &dX);
 
-/** dW[uv] = dY[uv] * X[uv]^T over whole slabs (assigned, staged). */
+/** dW[uv] = dY[uv] * X[uv]^T over the range's uv slice (assigned; other
+ *  elements untouched). The range must be a whole grid: each dW element
+ *  reduces over every column. */
 void ewGradWeights(const WinoTiles &dY, const WinoTiles &X,
-                   WinoWeights &dW);
+                   const TileRange &r, WinoWeights &dW);
 
 /**
  * RAII throughput probe: when metrics are on (and `on`), times the

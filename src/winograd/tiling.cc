@@ -164,14 +164,6 @@ WinoWeights::operator+=(const WinoWeights &o)
     return *this;
 }
 
-WinoWeights &
-WinoWeights::operator*=(float s)
-{
-    for (auto &v : data)
-        v *= s;
-    return *this;
-}
-
 float
 WinoWeights::maxAbsDiff(const WinoWeights &o) const
 {

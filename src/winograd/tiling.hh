@@ -165,7 +165,6 @@ class WinoWeights
     const float *raw() const { return data.data(); }
 
     WinoWeights &operator+=(const WinoWeights &o);
-    WinoWeights &operator*=(float s);
     float maxAbsDiff(const WinoWeights &o) const;
 
   private:

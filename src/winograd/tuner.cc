@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -13,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/rng.hh"
@@ -258,13 +258,7 @@ measureChoiceMs(const ConvSpec &spec0, const AlgoChoice &ch)
                       spec.w);
         const WinoWeights W = transformWeights(w, a);
         Tensor y(spec.batch, spec.outCh, spec.h, spec.w);
-        return best2([&] {
-            if (plan.shouldFuse(false))
-                plan.forwardFusedInto(x, W, y);
-            else
-                plan.forwardInto(x, W, y);
-            plan.invalidateCache();
-        });
+        return best2([&] { plan.forward(x, W, y, false); });
       }
       case AlgoKind::Decomposed: {
         WinoDecompPlan plan(spec, algoForTile(ch.m));
@@ -313,21 +307,11 @@ tuneModeName(TuneMode m)
 TuneMode
 parseTuneMode(const char *str)
 {
-    if (!str || !*str)
-        return TuneMode::Analytic;
-    std::string s;
-    for (const char *p = str; *p; ++p)
-        if (!std::isspace(static_cast<unsigned char>(*p)))
-            s += char(std::tolower(static_cast<unsigned char>(*p)));
-    if (s == "off")
-        return TuneMode::Off;
-    if (s == "analytic")
-        return TuneMode::Analytic;
-    if (s == "measure")
-        return TuneMode::Measure;
-    winomc_warn("ignoring unrecognized WINOMC_TUNE '", str,
-                "' (want off|analytic|measure)");
-    return TuneMode::Analytic;
+    return env::parseChoice("WINOMC_TUNE", str,
+                            {{"off", int(TuneMode::Off)},
+                             {"analytic", int(TuneMode::Analytic)},
+                             {"measure", int(TuneMode::Measure)}},
+                            TuneMode::Analytic);
 }
 
 TuneMode

@@ -140,16 +140,15 @@ runRoute(bool fused)
         Tensor y(s.batch, s.out_ch, s.h, s.w);
         Tensor dx(s.batch, s.in_ch, s.h, s.w);
         WinoWeights dW(algo.alpha, s.out_ch, s.in_ch);
+        // The plan picks its schedule from the process-wide mode.
+        setFusedMode(fused ? FusedMode::On : FusedMode::Off);
         if (fused) {
-            // The fused training route of a layer: fused forward and
-            // backward, weight gradient from re-scattered tiles.
-            plan.forwardFusedInto(x, W, y);
-            plan.backwardDataFusedInto(dy, W, dx);
-            plan.scatterInput(x);
-            plan.transformGradOutput(dy);
-            plan.gradWeightsFromCachedInto(dW);
+            // The fused training route of a layer: fused forward (which
+            // gathers the fp32 input tiles) and fused backward.
+            plan.forward(x, W, y, true);
+            plan.backward(dy, W, dx, dW);
         } else {
-            plan.forwardInto(x, W, y);
+            plan.forward(x, W, y, false);
             plan.backwardDataInto(dy, W, dx);
             plan.gradWeightsInto(x, dy, dW);
         }

@@ -164,11 +164,13 @@ TEST_P(FusedParityP, BitwiseMatchesStagedForAnyThreadCountAndIsa)
         WinoPlan plan(algo, p.batch, p.in_ch, p.out_ch, p.h, p.w);
         Tensor y_ref(p.batch, p.out_ch, p.h, p.w);
         Tensor dx_ref(p.batch, p.in_ch, p.h, p.w);
-        plan.forwardInto(x, W, y_ref);
+        setFusedMode(FusedMode::Off);
+        plan.forward(x, W, y_ref, false);
         plan.backwardDataInto(dy, W, dx_ref);
 
         Tensor y(p.batch, p.out_ch, p.h, p.w);
         Tensor dx(p.batch, p.in_ch, p.h, p.w);
+        setFusedMode(FusedMode::On);
         for (int threads : {1, 8}) {
             ThreadPool::global().setThreadCount(threads);
             // Twice per thread count: the second pass reuses warm
@@ -176,8 +178,8 @@ TEST_P(FusedParityP, BitwiseMatchesStagedForAnyThreadCountAndIsa)
             for (int pass = 0; pass < 2; ++pass) {
                 y.fill(-1.0f); // poison: every element must be stored
                 dx.fill(-1.0f);
-                plan.forwardFusedInto(x, W, y);
-                plan.backwardDataFusedInto(dy, W, dx);
+                plan.forward(x, W, y, false);
+                plan.backwardDataInto(dy, W, dx);
                 EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f)
                     << "isa " << mk::isaName(isa) << " threads "
                     << threads;
@@ -188,7 +190,6 @@ TEST_P(FusedParityP, BitwiseMatchesStagedForAnyThreadCountAndIsa)
         }
 
         // The free wrappers dispatch through the same plans.
-        setFusedMode(FusedMode::On);
         EXPECT_EQ(winogradForward(x, W, algo).maxAbsDiff(y_ref), 0.0f);
         EXPECT_EQ(winogradBackwardData(dy, W, algo, p.h, p.w)
                       .maxAbsDiff(dx_ref),
@@ -246,12 +247,12 @@ TEST(FusedSteadyState, FusedPathAllocatesNothingAfterWarmup)
         ThreadPool::global().setThreadCount(threads);
         // Warm-up builds the per-worker strip slots at this
         // concurrency and primes the workspace pool.
-        plan.forwardFusedInto(x, W, y);
-        plan.backwardDataFusedInto(dy, W, dx);
+        plan.forward(x, W, y, false);
+        plan.backwardDataInto(dy, W, dx);
         const auto s0 = ws::Workspace::global().stats();
         for (int i = 0; i < 10; ++i) {
-            plan.forwardFusedInto(x, W, y);
-            plan.backwardDataFusedInto(dy, W, dx);
+            plan.forward(x, W, y, false);
+            plan.backwardDataInto(dy, W, dx);
         }
         const auto s1 = ws::Workspace::global().stats();
         EXPECT_EQ(s1.freshAllocs, s0.freshAllocs)
@@ -339,11 +340,9 @@ TEST(FusedMptLayer, InferenceForwardMatchesCanonicalPipeline)
     setFusedMode(FusedMode::Off);
     Tensor y_ref = winogradForward(x, fused.winoWeights(), algo);
     EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f);
-    // The staged MPT path accumulates per-group partial products in a
-    // different summation order, so it was never bitwise to the
-    // canonical pipeline — only roundoff apart (cf. FunctionalMptP).
-    float scale = std::max(1.0f, y_ref.absMax());
-    EXPECT_LT(y.maxAbsDiff(y_staged), 1e-4f * scale);
+    // The staged MPT path runs the same stage kernels, so it is
+    // bitwise the canonical pipeline too (cf. FunctionalMptP).
+    EXPECT_EQ(y.maxAbsDiff(y_staged), 0.0f);
 }
 
 TEST(FusedMptLayer, GroupedTrainingIgnoresFusedRequest)

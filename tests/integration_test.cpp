@@ -4,18 +4,23 @@
  *
  * The central one: the functional MPT emulation (batch over clusters,
  * tile elements over groups, explicit scatter/gather and group
- * reductions) computes *exactly* the same forward output, input
- * gradient and weight gradient as the single-worker reference, for
- * every (ng, nc) organization - the parallelization changes the
- * schedule, never the math. Plus end-to-end flows that tie the
+ * reductions) computes bitwise the same forward output and input
+ * gradient as the single-worker reference for every (ng, nc)
+ * organization, and the same weight gradient with one cluster (FP
+ * reduction order apart with several) - the parallelization changes
+ * the schedule, never the math. Plus end-to-end flows that tie the
  * simulators and the numerics together.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "common/parallel.hh"
 #include "memnet/link_model.hh"
 #include "memnet/message_sim.hh"
 #include "mpt/comm_volume.hh"
@@ -29,6 +34,7 @@
 #include "noc/network.hh"
 #include "noc/topology.hh"
 #include "quant/predict.hh"
+#include "winograd/microkernel.hh"
 #include "workloads/layers.hh"
 
 namespace winomc {
@@ -71,10 +77,16 @@ TEST_P(FunctionalMptP, MatchesSingleWorkerReference)
     auto ref = runReference(x, dy, W, algo);
     auto par = runFunctionalMpt(x, dy, W, algo, org.ng, org.nc);
 
-    float scale = std::max({1.0f, ref.y.absMax(), ref.dx.absMax()});
-    EXPECT_LT(par.y.maxAbsDiff(ref.y), 1e-4f * scale);
-    EXPECT_LT(par.dx.maxAbsDiff(ref.dx), 1e-4f * scale);
-    EXPECT_LT(par.dW.maxAbsDiff(ref.dW), 2e-3f);
+    // Every group runs the single-worker stage kernels on its uv
+    // slice, and each (uv, column) product is computed on its own: y
+    // and dx are bitwise the reference. dW is too with one cluster;
+    // with several, the cross-cluster sum reorders the reduction.
+    EXPECT_EQ(par.y.maxAbsDiff(ref.y), 0.0f);
+    EXPECT_EQ(par.dx.maxAbsDiff(ref.dx), 0.0f);
+    if (org.nc == 1)
+        EXPECT_EQ(par.dW.maxAbsDiff(ref.dW), 0.0f);
+    else
+        EXPECT_LT(par.dW.maxAbsDiff(ref.dW), 2e-3f);
 
     // Data-parallel organization moves no tiles.
     if (org.ng == 1)
@@ -193,6 +205,103 @@ TEST(Integration, MptConvLayerTrainsIdenticallyToSoloLayer)
     auto &conv = dynamic_cast<mpt::MptConvLayer &>(dist->child(0));
     EXPECT_GT(conv.tileElemsTransferred(), 0u);
     EXPECT_GT(conv.weightElemsReduced(), 0u);
+}
+
+/** Restores the fused mode, ISA and thread count a test pins. */
+struct ScheduleGuard
+{
+    FusedMode fused = requestedFusedMode();
+    ~ScheduleGuard()
+    {
+        setFusedMode(fused);
+        mk::setIsa(mk::Isa::Auto);
+        ThreadPool::global().setThreadCount(0);
+    }
+};
+
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.sameShape(b) &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+bool
+sameBits(const WinoWeights &a, const WinoWeights &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Integration, MptConvLayerIsBitwiseTheSoloLayer)
+{
+    // MPT changes the schedule, never the bits. Every organization's
+    // forward output and input gradient equal the single-worker
+    // Winograd-layer ConvLayer's exactly, under either micro-kernel
+    // table, thread count and fused mode. With one cluster the weight
+    // gradient and the SGD update match too, so three steps stay in
+    // lockstep.
+    ScheduleGuard guard;
+    const WinogradAlgo &algo = algoF2x2_3x3(); // alpha^2 = 16
+    const int B = 4, I = 3, J = 5, H = 10, Wd = 9; // ragged tile grid
+    Rng data(2024);
+    std::vector<Tensor> xs, dys;
+    for (int s = 0; s < 3; ++s) {
+        xs.emplace_back(B, I, H, Wd);
+        dys.emplace_back(B, J, H, Wd);
+        xs.back().fillUniform(data);
+        dys.back().fillUniform(data);
+    }
+
+    for (Org org : {Org{1, 1}, Org{1, 2}, Org{2, 2}, Org{4, 4},
+                    Org{16, 1}}) {
+        for (mk::Isa isa : {mk::Isa::Scalar, mk::Isa::Auto}) {
+            mk::setIsa(isa);
+            for (int threads : {1, 8}) {
+                ThreadPool::global().setThreadCount(threads);
+                for (FusedMode mode : {FusedMode::Off, FusedMode::On}) {
+                    setFusedMode(mode);
+                    Rng ra(77), rb(77);
+                    nn::ConvLayer solo(I, J, 3,
+                                       nn::ConvMode::WinogradLayer, algo,
+                                       ra);
+                    mpt::MptConvLayer mpt(I, J, 3, org.ng, org.nc, algo,
+                                          rb);
+                    const std::string where =
+                        "ng " + std::to_string(org.ng) + " nc " +
+                        std::to_string(org.nc) + " isa " +
+                        mk::isaName(isa) + " threads " +
+                        std::to_string(threads) + " fused " +
+                        fusedModeName(mode);
+                    ASSERT_TRUE(
+                        sameBits(mpt.winoWeights(), solo.winoWeights()))
+                        << where;
+                    for (int s = 0; s < 3; ++s) {
+                        const Tensor y = mpt.forward(xs[size_t(s)], true);
+                        const Tensor yRef =
+                            solo.forward(xs[size_t(s)], true);
+                        EXPECT_TRUE(sameBits(y, yRef))
+                            << where << " step " << s << " y";
+                        const Tensor dx = mpt.backward(dys[size_t(s)]);
+                        const Tensor dxRef =
+                            solo.backward(dys[size_t(s)]);
+                        EXPECT_TRUE(sameBits(dx, dxRef))
+                            << where << " step " << s << " dx";
+                        // Several clusters sum dW in another order, so
+                        // their weights leave lockstep after a step;
+                        // keep them fixed (and the gradient unread).
+                        if (org.nc != 1)
+                            continue;
+                        mpt.step(0.05f);
+                        solo.step(0.05f);
+                        EXPECT_TRUE(sameBits(mpt.winoWeights(),
+                                             solo.winoWeights()))
+                            << where << " step " << s << " W";
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Integration, PredictionSkipsAreSoundOnTrainedNetwork)

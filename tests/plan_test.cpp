@@ -172,7 +172,7 @@ TEST_P(PlanParityP, BitwiseMatchesStagePipelineForAnyThreadCount)
         // Twice through the same plan: the second pass runs on dirty
         // slabs and must still be bitwise identical.
         for (int pass = 0; pass < 2; ++pass) {
-            plan.forwardInto(x, W, y);
+            plan.forward(x, W, y, false);
             plan.backwardDataInto(dy, W, dx);
             plan.gradWeightsInto(x, dy, dW);
             EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f);

@@ -97,6 +97,37 @@ TEST(ServeEngine, BatchDemuxBitwiseMatchesUnbatchedForward)
     setFusedMode(FusedMode::Auto);
 }
 
+TEST(ServeEngine, LayersBuiltFromTemporaryAlgorithmsTrainAndServe)
+{
+    // The layers keep a handle to their algorithm; makeWinograd interns
+    // it, so passing the call straight to the constructor is safe.
+    Rng rng(5);
+    nn::Sequential model;
+    model.add(std::make_unique<nn::ConvLayer>(
+        3, 8, 3, nn::ConvMode::WinogradLayer, makeWinograd(2, 3), rng));
+    model.add(std::make_unique<nn::ConvLayer>(
+        8, 2, 3, nn::ConvMode::WinogradSpatial, makeWinograd(4, 3), rng));
+    Tensor x(2, 3, 8, 8);
+    Tensor dy(2, 2, 8, 8);
+    x.fillUniform(rng);
+    dy.fillUniform(rng);
+    model.forward(x, true);
+    model.backward(dy);
+    model.step(0.01f);
+
+    const auto xs = makeImages(3, 3, 8, 8, 7);
+    std::vector<Tensor> refs;
+    for (const auto &img : xs)
+        refs.push_back(model.forward(img, false));
+    Engine engine(model);
+    std::vector<std::future<Tensor>> futs;
+    for (const auto &img : xs)
+        futs.push_back(engine.submit(img));
+    for (std::size_t i = 0; i < futs.size(); ++i)
+        EXPECT_EQ(futs[i].get().maxAbsDiff(refs[i]), 0.0f) << i;
+    engine.stop();
+}
+
 // -------------------------------------------------- Deadline batching
 
 TEST(ServeEngine, DeadlineEmitsPartialBatches)

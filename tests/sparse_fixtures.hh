@@ -15,6 +15,7 @@
 #include "winograd/conv.hh"
 #include "winograd/lowprec.hh"
 #include "winograd/microkernel.hh"
+#include "winograd/plan.hh"
 #include "winograd/tuner.hh"
 
 namespace winomc {
@@ -23,11 +24,14 @@ namespace winomc {
  * Every sparse test flips process-wide execution state on purpose, so
  * each one scopes its changes: baseline fp32-dense on entry,
  * everything restored on exit (precision, sparsity, ISA, thread count,
- * tuner hint). Plans capture the policy at construction, so tests
- * build their plans *after* each policy flip.
+ * tuner hint, and the fused mode a test pins to pick a plan route).
+ * Plans capture the policy at construction, so tests build their plans
+ * *after* each policy flip.
  */
 struct PolicyGuard
 {
+    FusedMode fused = requestedFusedMode();
+
     PolicyGuard()
     {
         setPrec(Prec::F32);
@@ -35,6 +39,7 @@ struct PolicyGuard
     }
     ~PolicyGuard()
     {
+        setFusedMode(fused);
         setPrec(Prec::F32);
         setSparseMode(false);
         mk::setIsa(mk::Isa::Auto);

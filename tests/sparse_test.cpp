@@ -312,11 +312,13 @@ TEST_P(SparseParityP, SparseForwardBitwiseEqualsDense)
             Tensor y_ref(p.batch, p.out_ch, p.h, p.w);
             Tensor dx_ref(p.batch, p.in_ch, p.h, p.w);
             WinoWeights dW_ref(algo.alpha, p.out_ch, p.in_ch);
-            dense.forwardInto(x, W, y_ref);
+            setFusedMode(FusedMode::Off);
+            dense.forward(x, W, y_ref, false);
             dense.backwardDataInto(dy, W, dx_ref);
             dense.gradWeightsInto(x, dy, dW_ref);
             Tensor yf_ref(p.batch, p.out_ch, p.h, p.w);
-            dense.forwardFusedInto(x, W, yf_ref);
+            setFusedMode(FusedMode::On);
+            dense.forward(x, W, yf_ref, false);
 
             setSparseMode(true);
             WinoPlan sparse(algo, p.batch, p.in_ch, p.out_ch, p.h, p.w);
@@ -331,8 +333,9 @@ TEST_P(SparseParityP, SparseForwardBitwiseEqualsDense)
             WinoWeights dW(algo.alpha, p.out_ch, p.in_ch);
             // Twice: the second pass runs on dirty slabs and a dirty
             // (rebuilt) activation mask.
+            setFusedMode(FusedMode::Off);
             for (int pass = 0; pass < 2; ++pass) {
-                sparse.forwardInto(x, W, y);
+                sparse.forward(x, W, y, false);
                 sparse.backwardDataInto(dy, W, dx);
                 sparse.gradWeightsInto(x, dy, dW);
                 EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f)
@@ -341,7 +344,8 @@ TEST_P(SparseParityP, SparseForwardBitwiseEqualsDense)
                 EXPECT_EQ(dW.maxAbsDiff(dW_ref), 0.0f);
             }
             Tensor yf(p.batch, p.out_ch, p.h, p.w);
-            sparse.forwardFusedInto(x, W, yf);
+            setFusedMode(FusedMode::On);
+            sparse.forward(x, W, yf, false);
             EXPECT_EQ(yf.maxAbsDiff(yf_ref), 0.0f) << "fused";
         }
     }
@@ -371,7 +375,7 @@ TEST(SparseExec, AllZeroInputYieldsExactZeroOutput)
     const WinoWeights W = prunedWeights(4, 3, 3, algo, 0.0, rng);
     WinoPlan plan(algo, 2, 3, 4, 10, 10);
     Tensor y(2, 4, 10, 10);
-    plan.forwardInto(x, W, y);
+    plan.forward(x, W, y, false);
     EXPECT_EQ(y.absMax(), 0.0f);
 }
 
@@ -390,10 +394,12 @@ TEST_P(HalfPrecP, ForwardWithinDocumentedBoundsAndFusedBitwise)
     w.fillKaiming(rng);
     const WinoWeights W = transformWeights(w, algo);
 
+    const WinoTiles Xref = transformInput(x, algo);
     Tensor y_ref(p.batch, p.out_ch, p.h, p.w);
+    setFusedMode(FusedMode::Off);
     {
         WinoPlan dense(algo, p.batch, p.in_ch, p.out_ch, p.h, p.w);
-        dense.forwardInto(x, W, y_ref);
+        dense.forward(x, W, y_ref, false);
     }
     const float scale = std::max(1.0f, y_ref.absMax());
 
@@ -414,19 +420,32 @@ TEST_P(HalfPrecP, ForwardWithinDocumentedBoundsAndFusedBitwise)
             setSparseMode(sp);
             WinoPlan plan(algo, p.batch, p.in_ch, p.out_ch, p.h, p.w);
             Tensor y(p.batch, p.out_ch, p.h, p.w);
-            plan.forwardInto(x, W, y);
+            setFusedMode(FusedMode::Off);
+            plan.forward(x, W, y, false);
             EXPECT_LT(y.maxAbsDiff(y_ref), b.rel * scale)
                 << precName(b.prec) << " sparse=" << sp;
             // Same plan, fused: identical encode + fp32 accumulation
             // order per output element, so staged and fused agree
             // BITWISE even in 16-bit storage.
             Tensor yf(p.batch, p.out_ch, p.h, p.w);
-            plan.forwardFusedInto(x, W, yf);
+            setFusedMode(FusedMode::On);
+            plan.forward(x, W, yf, false);
             EXPECT_EQ(yf.maxAbsDiff(y), 0.0f)
                 << precName(b.prec) << " sparse=" << sp;
-            // A half-policy forward does not populate the fp32 input
-            // slab; training callers must re-scatter.
-            EXPECT_FALSE(plan.inputCached());
+            // A half-policy forward bypasses the fp32 input slab, so a
+            // train-mode one gathers the fp32 tiles its backward reads:
+            // exactly the fp32 transform of x, staged or fused.
+            for (FusedMode mode : {FusedMode::Off, FusedMode::On}) {
+                setFusedMode(mode);
+                plan.forward(x, W, yf, true);
+                EXPECT_EQ(yf.maxAbsDiff(y), 0.0f);
+                ASSERT_EQ(plan.inputTiles().size(), Xref.size());
+                EXPECT_EQ(0, std::memcmp(plan.inputTiles().row(0, 0),
+                                         Xref.row(0, 0),
+                                         Xref.size() * sizeof(float)))
+                    << precName(b.prec) << " sparse=" << sp << " mode "
+                    << fusedModeName(mode);
+            }
         }
     }
 }
@@ -617,7 +636,8 @@ TEST(SparseExec, SkipCountersAndParityAtHighSparsity)
     setSparseMode(false);
     WinoPlan dense(algo, g.B, g.C, g.K, g.H, g.H);
     Tensor yDense(g.B, g.K, g.H, g.H);
-    dense.forwardInto(x, W, yDense);
+    setFusedMode(FusedMode::Off);
+    dense.forward(x, W, yDense, false);
 
     setSparseMode(true);
     WinoPlan sparse(algo, g.B, g.C, g.K, g.H, g.H);
@@ -630,13 +650,11 @@ TEST(SparseExec, SkipCountersAndParityAtHighSparsity)
         double panels_total = 0, panels_zero = 0;
     };
     const bool wasEnabled = metrics::enabled();
-    auto instrumented = [&](void (WinoPlan::*fwd)(const Tensor &,
-                                                  const WinoWeights &,
-                                                  Tensor &),
-                            Tensor &out) {
+    auto instrumented = [&](FusedMode mode, Tensor &out) {
+        setFusedMode(mode);
         metrics::setEnabled(true);
         metrics::reset();
-        (sparse.*fwd)(x, W, out);
+        sparse.forward(x, W, out, false);
         Counters c;
         for (const auto &s : metrics::snapshot()) {
             if (s.name == "quant.ew.rows_total")
@@ -652,7 +670,7 @@ TEST(SparseExec, SkipCountersAndParityAtHighSparsity)
         metrics::setEnabled(wasEnabled);
         return c;
     };
-    const Counters staged = instrumented(&WinoPlan::forwardInto, y);
+    const Counters staged = instrumented(FusedMode::Off, y);
     EXPECT_GT(staged.rows_total, 0.0);
     EXPECT_GT(staged.panels_zero, 0.0);
     // At 85% weight sparsity the row compaction must be dropping well
@@ -665,8 +683,7 @@ TEST(SparseExec, SkipCountersAndParityAtHighSparsity)
     // strip), so it must report the same skipping. Strips are whole
     // tile panels, so the mask sees exactly the staged panels.
     Tensor yFused(g.B, g.K, g.H, g.H);
-    const Counters fused =
-        instrumented(&WinoPlan::forwardFusedInto, yFused);
+    const Counters fused = instrumented(FusedMode::On, yFused);
     EXPECT_EQ(fused.panels_total, staged.panels_total);
     EXPECT_EQ(fused.panels_zero, staged.panels_zero);
     EXPECT_GT(fused.rows_total, 0.0);
@@ -696,7 +713,8 @@ TEST(HalfPrec, Bf16MovesMeasurablyFewerBytesThanFp32)
         metrics::setEnabled(true);
         metrics::reset();
         WinoPlan plan(algo, B, C, K, H, H);
-        plan.forwardInto(x, W, y);
+        setFusedMode(FusedMode::Off); // the staged traffic counters
+        plan.forward(x, W, y, false);
         double bytes = 0;
         for (const auto &s : metrics::snapshot())
             if (s.name == "wino.staged.fwd.bytes_moved")

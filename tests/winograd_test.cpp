@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hh"
 #include "winograd/algo.hh"
@@ -174,6 +176,26 @@ TEST(Algo, PresetDimensions)
     const auto &c = algoF2x2_5x5();
     EXPECT_EQ(c.alpha, 6);
     EXPECT_EQ(c.r, 5);
+}
+
+TEST(Algo, FactoryInternsOneInstancePerShape)
+{
+    // Every (m, r) has one canonical instance, shared by the presets.
+    EXPECT_EQ(&makeWinograd(2, 3), &makeWinograd(2, 3));
+    EXPECT_EQ(&makeWinograd(2, 3), &algoF2x2_3x3());
+    EXPECT_EQ(&makeWinograd(4, 3), &algoForTile(4));
+    EXPECT_EQ(&makeWinograd(6, 3), &algoF6x6_3x3());
+    EXPECT_EQ(&makeWinograd(2, 5), &algoF2x2_5x5());
+    EXPECT_NE(&makeWinograd(2, 3), &makeWinograd(4, 3));
+    // Concurrent first requests still agree on the instance.
+    std::vector<const WinogradAlgo *> seen(4, nullptr);
+    std::vector<std::thread> ts;
+    for (std::size_t t = 0; t < seen.size(); ++t)
+        ts.emplace_back([&seen, t] { seen[t] = &makeWinograd(3, 2); });
+    for (auto &th : ts)
+        th.join();
+    for (const WinogradAlgo *a : seen)
+        EXPECT_EQ(a, &makeWinograd(3, 2));
 }
 
 // ----------------------------------------------------- Convolution kernels

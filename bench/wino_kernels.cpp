@@ -586,7 +586,8 @@ BENCHMARK(BM_WinoForwardFused)->Apply(threadArgs)
  * The single end-to-end number future PRs track. The fused variant is
  * the WINOMC_FUSED=on layer schedule: the fused train-mode forward
  * bypasses the slabs, so it gathers the fp32 input tiles the weight
- * gradient reads before it returns (what nn::ConvLayer runs).
+ * gradient reads before it returns (what nn::ConvLayer runs); the
+ * backward is staged in both rows, since fusion is a forward schedule.
  * On this deliberately small, cache-resident shape the re-gather
  * costs more than the slab round trip saves, so the fused row reads
  * slower here — the forward pair above, on a slab-overflowing shape,
@@ -625,7 +626,7 @@ winoTrainStepPlanned(benchmark::State &state, bool fused)
     }
     const double acquires = probe.report(state);
     // Executed FLOPs of the schedule above (the fused row pays the
-    // extra input-tile gather; its rate is honest, not inflated).
+    // extra fp32 input-tile gather; its rate is honest, not inflated).
     const int t = plan.tileGrid().tiles();
     const double fwd = xfFlops(algo, B, C, t) +
                        ewFlops(algo, B, C, C, t) +
@@ -636,8 +637,7 @@ winoTrainStepPlanned(benchmark::State &state, bool fused)
                        xfFlops(algo, B, C, t);
     double flops = fwd + grad + bwd;
     if (fused)
-        flops += xfFlops(algo, B, C, t) + // fp32 input-tile gather
-                 invFlops(algo, B, C, t); // bwd re-gathers dy
+        flops += xfFlops(algo, B, C, t); // fp32 input-tile gather
     reportKernelRate(state, flops);
     if (acquires > 0.5)
         state.SkipWithError("persistent WinoPlan still acquires "

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -222,11 +223,28 @@ kindName(Kind k)
 
 /**
  * Run-scope prefix. Readers load an immutable string published with
- * release ordering; setRunScope intentionally leaks the previous
- * string so a concurrent reader can never see it die (scope changes
- * are rare run boundaries, so the leak is bounded and tiny).
+ * release ordering. Every scope string is interned once, for the
+ * process, in scopeNames(), so a concurrent reader can never see the
+ * string it loaded die, and alternating scopes allocate nothing after
+ * the first use of each.
  */
 std::atomic<const std::string *> gScope{nullptr};
+
+/** Interned scope strings. Set nodes never move; the registry is
+ *  leaked on purpose (still reachable, so LeakSanitizer stays quiet)
+ *  so it outlives any reader during static destruction. */
+struct ScopeNames
+{
+    std::mutex mu;
+    std::set<std::string> names;
+};
+
+ScopeNames &
+scopeNames()
+{
+    static auto *reg = new ScopeNames;
+    return *reg;
+}
 
 std::string
 scopedKey(const char *name)
@@ -415,8 +433,13 @@ histogramMerge(const char *name, const winomc::Histogram &h)
 void
 setRunScope(const std::string &scope)
 {
-    gScope.store(scope.empty() ? nullptr : new std::string(scope),
-                 std::memory_order_release);
+    const std::string *interned = nullptr;
+    if (!scope.empty()) {
+        ScopeNames &reg = scopeNames();
+        std::lock_guard<std::mutex> lk(reg.mu);
+        interned = &*reg.names.insert(scope).first;
+    }
+    gScope.store(interned, std::memory_order_release);
 }
 
 std::string

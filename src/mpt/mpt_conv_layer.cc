@@ -1,8 +1,35 @@
 #include "mpt/mpt_conv_layer.hh"
 
+#include <cstring>
+
+#include "winograd/conv.hh"
 #include "winograd/microkernel.hh"
 
 namespace winomc::mpt {
+
+namespace {
+
+/**
+ * Copy images [srcB0, srcB0 + count) of src into images [dstB0,
+ * dstB0 + count) of dst (same C, H, W): the batch shard scatter and
+ * gather between a layer and its clusters.
+ */
+void
+copyImages(const Tensor &src, int srcB0, Tensor &dst, int dstB0,
+           int count)
+{
+    winomc_assert(src.c() == dst.c() && src.h() == dst.h() &&
+                      src.w() == dst.w() && srcB0 >= 0 && dstB0 >= 0 &&
+                      srcB0 + count <= src.n() && dstB0 + count <= dst.n(),
+                  "image copy out of range");
+    // NCHW: a run of whole images is one contiguous block.
+    const std::size_t image = std::size_t(src.c()) * src.h() * src.w();
+    std::memcpy(dst.data() + std::size_t(dstB0) * image,
+                src.data() + std::size_t(srcB0) * image,
+                std::size_t(count) * image * sizeof(float));
+}
+
+} // namespace
 
 MptConvLayer::MptConvLayer(int in_ch, int out_ch, int r, int ng_,
                            int nc_, const WinogradAlgo &algo_, Rng &rng)
@@ -69,26 +96,9 @@ MptConvLayer::forward(const Tensor &x, bool train)
     yShard.reshape(shard, outCh, x.h(), x.w());
 
     for (int c = 0; c < nc; ++c) {
-        WinoPlan &plan = *plans[size_t(c)];
         copyImages(x, c * shard, xShard, 0, shard);
-        if (ng == 1) {
-            // No tile element crosses a group boundary: the cluster is
-            // a single worker and runs the plan's own forward.
-            plan.forward(xShard, W, yShard, train);
-        } else {
-            plan.scatterInput(xShard);
-            for (int g = 0; g < ng; ++g) {
-                partialElementwiseForward(plan.inputTiles(), W,
-                                          g * uvShare, (g + 1) * uvShare,
-                                          plan.outputTilesMutable());
-                tileElems += uint64_t(uvShare) * (inCh + outCh) * shard *
-                             plan.tileGrid().tiles() * uint64_t(ng - 1) /
-                             uint64_t(ng);
-            }
-            plan.gatherOutputInto(yShard);
-            if (!train)
-                plan.invalidateCache();
-        }
+        plans[size_t(c)]->forward(xShard, W, yShard, train, ng);
+        tileElems += tileElemsPerPhase();
         copyImages(yShard, 0, y, c * shard, shard);
     }
     return y;
@@ -106,26 +116,9 @@ MptConvLayer::backward(const Tensor &dy)
     dxShard.reshape(shard, inCh, lastH, lastW);
 
     for (int c = 0; c < nc; ++c) {
-        WinoPlan &plan = *plans[size_t(c)];
         copyImages(dy, c * shard, dyShard, 0, shard);
-        if (ng == 1) {
-            plan.backward(dyShard, W, dxShard, gScratch);
-        } else {
-            plan.transformGradOutput(dyShard);
-            for (int g = 0; g < ng; ++g) {
-                partialElementwiseBackwardData(
-                    plan.gradOutputTiles(), W, g * uvShare,
-                    (g + 1) * uvShare, plan.gradInputTilesMutable());
-                partialElementwiseGradWeights(plan.gradOutputTiles(),
-                                              plan.inputTiles(),
-                                              g * uvShare,
-                                              (g + 1) * uvShare, gScratch);
-                tileElems += uint64_t(uvShare) * (inCh + outCh) * shard *
-                             plan.tileGrid().tiles() * uint64_t(ng - 1) /
-                             uint64_t(ng);
-            }
-            plan.gatherGradInputInto(dxShard);
-        }
+        plans[size_t(c)]->backward(dyShard, W, dxShard, gScratch, ng);
+        tileElems += tileElemsPerPhase();
         // Adding each cluster's gradient into dW, in cluster order, is
         // the ring reduction of every group's weight slice.
         dW += gScratch;
@@ -133,6 +126,18 @@ MptConvLayer::backward(const Tensor &dy)
         copyImages(dxShard, 0, dx, c * shard, shard);
     }
     return dx;
+}
+
+uint64_t
+MptConvLayer::tileElemsPerPhase() const
+{
+    // Each group scatters its uv slice of the input-side tiles and
+    // gathers its slice of the output-side tiles; the (ng-1)/ng share
+    // owned by other groups crosses links (zero when ng == 1).
+    const uint64_t perGroup = uint64_t(uvShare) * (inCh + outCh) * shard *
+                              plans[0]->tileGrid().tiles() *
+                              uint64_t(ng - 1) / uint64_t(ng);
+    return uint64_t(ng) * perGroup;
 }
 
 void

@@ -7,20 +7,23 @@
  * communication accounting.
  *
  * Every group runs the single-worker plan's own stage kernels on its uv
- * slice, so the forward output and the input gradient are bitwise equal
- * to the single-worker nn::ConvLayer in WinogradLayer mode for every
- * (ng, nc), and with one cluster the weight gradient and the SGD update
- * are too: the layers train in bitwise lockstep. With several clusters
- * dW is summed cluster by cluster, which differs from the single-worker
- * reduction only in FP accumulation order - the end-to-end
- * demonstration that MPT changes the schedule, never the learned model.
+ * slice (WinoPlan::forward/backward with groups = N_g), so the forward
+ * output and the input gradient are bitwise equal to the single-worker
+ * nn::ConvLayer in WinogradLayer mode for every (ng, nc), and with one
+ * cluster the weight gradient and the SGD update are too: the layers
+ * train in bitwise lockstep. With several clusters dW is summed cluster
+ * by cluster, which differs from the single-worker reduction only in FP
+ * accumulation order - the end-to-end demonstration that MPT changes
+ * the schedule, never the learned model. MptConvLayer is the only MPT
+ * executor: the simulators (layer_sim.hh) model its timing.
  *
  * Each cluster owns a shape-bound WinoPlan: the plan slabs play the role
  * of the cluster's SRAM-resident tiles, and the group kernels write
- * straight into them, so steady-state steps allocate nothing. A
- * cluster with one group is a single worker and runs the plan's own
- * forward/backward (fused or staged, under the plan's ExecPolicy);
- * grouped clusters run the fp32 kernels.
+ * straight into them, so steady-state steps allocate nothing. Every
+ * cluster runs the plan's own forward and backward with the group
+ * count, so each group's element-wise products run under the plan's
+ * ExecPolicy (16-bit storage, activation mask) and forward schedule
+ * (fused or staged), whatever N_g is.
  */
 
 #ifndef WINOMC_MPT_MPT_CONV_LAYER_HH
@@ -28,7 +31,6 @@
 
 #include <memory>
 
-#include "mpt/functional.hh"
 #include "nn/module.hh"
 #include "winograd/conv_spec.hh"
 #include "winograd/plan.hh"
@@ -69,6 +71,8 @@ class MptConvLayer : public nn::Module
   private:
     /** (Re)build the per-cluster plans iff the shard shape changed. */
     void ensurePlans(const Tensor &x);
+    /** Tile elements one cluster's groups exchange in one phase. */
+    uint64_t tileElemsPerPhase() const;
 
     int inCh, outCh, ng, nc, uvShare;
     const WinogradAlgo &algo;

@@ -23,8 +23,8 @@
  * WinoDecompPlan) bound to the incoming shape: the plan owns every tile
  * slab and the layer keeps its gradient scratch, so steady-state
  * training steps allocate nothing. The layer makes one plan call per
- * phase (forward, backward); whether that runs staged or fused, and
- * which tiles it keeps for the backward, is the plan's decision. The
+ * phase (forward, backward); whether the forward runs staged or fused,
+ * and which tiles it keeps for the backward, is the plan's decision. The
  * layer keeps no copy of its input on the Winograd path: the plan's
  * input tiles are what the weight gradient reads.
  *

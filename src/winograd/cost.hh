@@ -113,8 +113,9 @@ struct TrafficPrediction
 /**
  * @param fused          staged (false) or fused tile-strip (true) mode
  * @param stripsPerImage the fused strip count (WinoPlan::stripCount());
- *                       ignored for staged. UpdateGrad has no fused
- *                       path and always returns the staged prediction.
+ *                       ignored for staged. Only Fprop has a fused
+ *                       path: Bprop and UpdateGrad always return the
+ *                       staged prediction.
  */
 TrafficPrediction predictedTrafficBytes(const ConvSpec &spec,
                                         const WinogradAlgo &algo,

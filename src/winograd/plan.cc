@@ -256,6 +256,14 @@ WinoPlan::ensureStripSlots(int n)
 }
 
 void
+WinoPlan::checkGroups(int groups) const
+{
+    winomc_assert(groups >= 1 && alg.alpha * alg.alpha % groups == 0,
+                  "alpha^2 = ", alg.alpha * alg.alpha,
+                  " must divide across ", groups, " MPT groups");
+}
+
+void
 WinoPlan::checkShapes(const Tensor &in, int inCh, const WinoWeights &W,
                       const Tensor &out, int outCh,
                       const char *what) const
@@ -271,10 +279,17 @@ WinoPlan::checkShapes(const Tensor &in, int inCh, const WinoWeights &W,
                   what, " weight shape mismatch");
 }
 
+TileRange
+WinoPlan::groupSlice(const TileRange &r, int groups, int g) const
+{
+    const int share = alg.alpha * alg.alpha / groups;
+    return r.uvSlice(g * share, (g + 1) * share);
+}
+
 template <class Tiles, bool Masked>
 void
 WinoPlan::forwardRange(const Tensor &x, const WinoWeights &W, Tensor &y,
-                       const TileRange &r, TileSet &s)
+                       const TileRange &r, TileSet &s, int groups)
 {
     Tiles *xs;
     if constexpr (std::is_same_v<Tiles, HalfTiles>)
@@ -284,18 +299,10 @@ WinoPlan::forwardRange(const Tensor &x, const WinoWeights &W, Tensor &y,
     ActMask *mask = Masked ? &s.mask : nullptr;
     stage::gather<Tiles, Masked>(TileMap(Side::Input, alg, grid), x, r,
                                  *xs, mask, halfKind);
-    stage::ewForward<Tiles, Masked>(*xs, W, r, s.out, mask, halfKind);
+    for (int g = 0; g < groups; ++g)
+        stage::ewForward<Tiles, Masked>(*xs, W, groupSlice(r, groups, g),
+                                        s.out, mask, halfKind);
     stage::scatter(TileMap(Side::Output, alg, grid), s.out, r, y);
-}
-
-void
-WinoPlan::backwardDataRange(const Tensor &dy, const WinoWeights &W,
-                            Tensor &dx, const TileRange &r, TileSet &s)
-{
-    stage::gather<WinoTiles, false>(TileMap(Side::OutputAdjoint, alg, grid),
-                                    dy, r, s.out);
-    stage::ewBackwardData(s.out, W, r, s.in);
-    stage::scatter(TileMap(Side::InputAdjoint, alg, grid), s.in, r, dx);
 }
 
 void
@@ -319,14 +326,15 @@ WinoPlan::publishTraffic(const char *mode, const char *phase,
 
 void
 WinoPlan::forward(const Tensor &x, const WinoWeights &W, Tensor &y,
-                  bool train)
+                  bool train, int groups)
 {
     checkShapes(x, ni, W, y, nj, "forward");
+    checkGroups(groups);
     const bool fused = shouldFuse(train);
     if (fused)
-        forwardFused(x, W, y);
+        forwardFused(x, W, y, groups);
     else
-        forwardStaged(x, W, y);
+        forwardStaged(x, W, y, groups);
     // Fused and 16-bit forwards bypass the fp32 input slab.
     haveInput = !fused && fp32Input;
     haveOutput = !fused;
@@ -341,10 +349,12 @@ WinoPlan::forward(const Tensor &x, const WinoWeights &W, Tensor &y,
 }
 
 void
-WinoPlan::forwardStaged(const Tensor &x, const WinoWeights &W, Tensor &y)
+WinoPlan::forwardStaged(const Tensor &x, const WinoWeights &W, Tensor &y,
+                        int groups)
 {
     WINOMC_SPAN("wino.phase.fwd", "wino");
-    (this->*fwdRange)(x, W, y, TileRange::whole(nb, grid.tiles()), slab);
+    (this->*fwdRange)(x, W, y, TileRange::whole(nb, grid.tiles()), slab,
+                      groups);
     if (metrics::enabled()) {
         const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
         const double out = double(nb) * nj * fh * fw;
@@ -361,7 +371,8 @@ WinoPlan::forwardStaged(const Tensor &x, const WinoWeights &W, Tensor &y)
 }
 
 void
-WinoPlan::forwardFused(const Tensor &x, const WinoWeights &W, Tensor &y)
+WinoPlan::forwardFused(const Tensor &x, const WinoWeights &W, Tensor &y,
+                       int groups)
 {
     WINOMC_SPAN("wino.fused.fwd", "wino");
     const int nt = grid.tiles();
@@ -386,7 +397,7 @@ WinoPlan::forwardFused(const Tensor &x, const WinoWeights &W, Tensor &y)
             const int t0 = int(task % nStrips) * stripT;
             (this->*fwdRange)(
                 x, W, y, TileRange::strip(b, t0, std::min(stripT, nt - t0)),
-                *s);
+                *s, groups);
         }
         releaseStripSlot(s);
     });
@@ -405,22 +416,19 @@ WinoPlan::forwardFused(const Tensor &x, const WinoWeights &W, Tensor &y)
 
 void
 WinoPlan::backward(const Tensor &dy, const WinoWeights &W, Tensor &dx,
-                   WinoWeights &dW)
+                   WinoWeights &dW, int groups)
 {
     winomc_assert(haveInput,
                   "WinoPlan::backward without a train-mode forward: "
                   "the input tiles are stale");
     checkShapes(dy, nj, W, dx, ni, "backward");
+    checkGroups(groups);
     transformGradOutput(dy);
     const TileRange whole = TileRange::whole(nb, grid.tiles());
-    stage::ewGradWeights(gradSlab.out, slab.in, whole, dW);
-    if (shouldFuse(false)) {
-        backwardDataFused(dy, W, dx);
-        return;
-    }
-    stage::ewBackwardData(gradSlab.out, W, whole, gradSlab.in);
-    stage::scatter(TileMap(Side::InputAdjoint, alg, grid), gradSlab.in,
-                   whole, dx);
+    for (int g = 0; g < groups; ++g)
+        stage::ewGradWeights(gradSlab.out, slab.in,
+                             groupSlice(whole, groups, g), dW);
+    backwardDataFromSlab(W, dx, groups);
 }
 
 void
@@ -428,14 +436,9 @@ WinoPlan::backwardDataInto(const Tensor &dy, const WinoWeights &W,
                            Tensor &dx)
 {
     checkShapes(dy, nj, W, dx, ni, "backwardDataInto");
-    if (shouldFuse(false)) {
-        backwardDataFused(dy, W, dx);
-        return;
-    }
     WINOMC_SPAN("wino.phase.bwd_data", "wino");
-    backwardDataRange(dy, W, dx, TileRange::whole(nb, grid.tiles()),
-                      gradSlab);
-    haveGrad = true;
+    transformGradOutput(dy);
+    backwardDataFromSlab(W, dx, 1);
     if (metrics::enabled()) {
         const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
         const double outPlane = double(nb) * nj * fh * fw;
@@ -454,48 +457,15 @@ WinoPlan::backwardDataInto(const Tensor &dy, const WinoWeights &W,
 }
 
 void
-WinoPlan::backwardDataFused(const Tensor &dy, const WinoWeights &W,
-                            Tensor &dx)
+WinoPlan::backwardDataFromSlab(const WinoWeights &W, Tensor &dx,
+                               int groups)
 {
-    WINOMC_SPAN("wino.fused.bwd_data", "wino");
-    const int nt = grid.tiles();
-    const int nStrips = stripCount();
-    const int a = alg.alpha;
-    const int m = alg.m;
-    StageTimer probe("fused.bwd_data",
-                     2.0 * m * a * (a + m) * double(nb) * nj * nt +
-                         2.0 * a * a * double(nj) * ni * nb * nt +
-                         4.0 * a * a * a * double(nb) * ni * nt);
-
-    ensureStripSlots(
-        std::min(ThreadPool::global().threadCount(), nb));
-    // Overlap-add races across strips of one image, so the batch axis
-    // is the parallel unit and strips run serially in ascending order
-    // per image (the first one clears the image's planes) — the same
-    // summation order as the staged adjoint, so any thread count is
-    // bitwise identical to serial.
-    parallelFor(0, nb, 1, [&](std::int64_t lo, std::int64_t hi) {
-        TileSet *s = acquireStripSlot();
-        for (std::int64_t b = lo; b < hi; ++b)
-            for (int t0 = 0; t0 < nt; t0 += stripT)
-                backwardDataRange(
-                    dy, W, dx,
-                    TileRange::strip(int(b), t0, std::min(stripT, nt - t0)),
-                    *s);
-        releaseStripSlot(s);
-    });
-    if (metrics::enabled()) {
-        const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
-        const double addSweep = double(gatherElemsA) * nb * ni;
-        const double f = double(sizeof(float));
-        publishTraffic(
-            "fused", "bwd_data", double(nb) * nj * fh * fw * f,
-            double(W.size()) * nb * nStrips * f,
-            (double(nb) * ni * fh * fw + 2.0 * addSweep) * f,
-            double(predictedTrafficBytes(spec, alg, Phase::Bprop, true,
-                                         nStrips)
-                       .totalBytes()));
-    }
+    const TileRange whole = TileRange::whole(nb, grid.tiles());
+    for (int g = 0; g < groups; ++g)
+        stage::ewBackwardData(gradSlab.out, W, groupSlice(whole, groups, g),
+                              gradSlab.in);
+    stage::scatter(TileMap(Side::InputAdjoint, alg, grid), gradSlab.in,
+                   whole, dx);
 }
 
 void
@@ -515,7 +485,6 @@ WinoPlan::transformGradOutput(const Tensor &dy)
     stage::gather<WinoTiles, false>(TileMap(Side::OutputAdjoint, alg, grid),
                                     dy, TileRange::whole(nb, grid.tiles()),
                                     gradSlab.out);
-    haveGrad = true;
 }
 
 void
@@ -525,21 +494,6 @@ WinoPlan::scatterInput(const Tensor &x)
                                     TileRange::whole(nb, grid.tiles()),
                                     slab.in);
     haveInput = true;
-}
-
-void
-WinoPlan::gatherOutputInto(Tensor &y)
-{
-    stage::scatter(TileMap(Side::Output, alg, grid), slab.out,
-                   TileRange::whole(nb, grid.tiles()), y);
-    haveOutput = true;
-}
-
-void
-WinoPlan::gatherGradInputInto(Tensor &dx)
-{
-    stage::scatter(TileMap(Side::InputAdjoint, alg, grid), gradSlab.in,
-                   TileRange::whole(nb, grid.tiles()), dx);
 }
 
 const WinoTiles &
@@ -556,13 +510,6 @@ WinoPlan::outputTiles() const
                   "output tiles not populated (only a staged train-mode "
                   "forward keeps them: WINOMC_FUSED=auto or off)");
     return slab.out;
-}
-
-const WinoTiles &
-WinoPlan::gradOutputTiles() const
-{
-    winomc_assert(haveGrad, "grad-output tiles not populated");
-    return gradSlab.out;
 }
 
 // ------------------------------------------------------------- PlanLru

@@ -7,7 +7,7 @@
  * Winograd-domain slab the pipeline needs (input tiles, output tiles,
  * grad-output tiles, grad-input tiles). All stage execution goes through
  * the tile-range kernels of winograd/stages.hh: the staged pipeline runs
- * them once over the whole grid into the slabs, the fused pipeline per
+ * them once over the whole grid into the slabs, the fused forward per
  * strip into per-worker scratch. Once a plan is built, repeated
  * training steps over the same shape perform zero workspace
  * allocations in the Winograd path — the plan is the host-side analogue
@@ -18,7 +18,14 @@
  * with; the staged and fused forwards then call the same per-range
  * forward without consulting the policy again. Which of the two runs is
  * decided inside the plan too, per call (WINOMC_FUSED): a layer makes
- * one forward() and one backward() call per training step.
+ * one forward() and one backward() call per training step. The
+ * backward is always staged: it transforms dy once into the dYt slab,
+ * which both the weight gradient and the backward-data product read.
+ *
+ * MPT groups (mpt::MptConvLayer) run inside the plan: forward() and
+ * backward() take the group count, and every element-wise stage call
+ * then runs once per group on that group's slice of the tile elements,
+ * under the same storage, mask and schedule as an undivided call.
  *
  * Lifecycle: layers build a plan lazily on the first forward and rebuild
  * only when the incoming shape stops matching (matches()). The plan
@@ -53,16 +60,17 @@ struct TileRange;
 }
 
 /**
- * WINOMC_FUSED knob: picks between the staged pipeline (full slabs
- * between stages) and the fused tile-strip pipeline (§4.11). Only
- * WinoPlan reads it (WinoPlan::shouldFuse).
+ * WINOMC_FUSED knob: picks the forward's schedule, the staged pipeline
+ * (full slabs between stages) or the fused tile-strip pipeline
+ * (§4.11). Backwards are always staged. Only WinoPlan reads it
+ * (WinoPlan::shouldFuse).
  *
  *  - Off:  always staged.
  *  - Auto: fused when the plan's shape qualifies (slabs overflow cache,
  *          and not a train-mode forward), staged otherwise.
- *  - On:   fused wherever a fused path exists, regardless of size —
- *          including train-mode forwards, which then gather the fp32
- *          input tiles their backward reads.
+ *  - On:   every forward fused, regardless of size — including
+ *          train-mode forwards, which then gather the fp32 input tiles
+ *          their backward reads.
  */
 enum class FusedMode : int { Off = 0, Auto = 1, On = 2 };
 
@@ -118,10 +126,16 @@ class WinoPlan
 
     // -----------------------------------------------------------------
     // Layer execution. The plan alone decides, per call, whether a
-    // phase runs staged (whole-grid slabs between stages) or fused
+    // forward runs staged (whole-grid slabs between stages) or fused
     // (per cache-resident tile strip, slabs bypassed; §4.11): see
     // shouldFuse(). Both schedules are bitwise identical at every ISA
     // level and for any thread count, so callers never branch on it.
+    //
+    // `groups` is the MPT group count N_g (it must divide alpha^2):
+    // with s = alpha^2 / groups, group g owns tile elements
+    // [g * s, (g + 1) * s), and each element-wise call runs once per
+    // group on its slice. Every (uv, column) product is computed on its
+    // own, so any group count is bitwise the undivided call.
     // -----------------------------------------------------------------
 
     /**
@@ -136,19 +150,20 @@ class WinoPlan
      * fp32). train = false leaves every tile cache invalid.
      */
     void forward(const Tensor &x, const WinoWeights &W, Tensor &y,
-                 bool train);
+                 bool train, int groups = 1);
 
     /**
-     * The training backward of the last train-mode forward: dW
-     * (assigned, not accumulated) from the cached input tiles and the
-     * transformed dy, and dx through the pipeline adjoint. Dies when
-     * the last forward was not a train-mode one.
+     * The training backward of the last train-mode forward: dy is
+     * transformed once into the dYt slab, then dW (assigned, not
+     * accumulated) from the cached input tiles and dYt, and dx through
+     * the pipeline adjoint of dYt. Dies when the last forward was not a
+     * train-mode one.
      */
     void backward(const Tensor &dy, const WinoWeights &W, Tensor &dx,
-                  WinoWeights &dW);
+                  WinoWeights &dW, int groups = 1);
 
     /** dx from dy through the pipeline adjoint (one-shot: no cached
-     *  state used). */
+     *  state used); the backward-data half of backward(). */
     void backwardDataInto(const Tensor &dy, const WinoWeights &W,
                           Tensor &dx);
     /** dW (assigned, not accumulated) from x and dy (one-shot). */
@@ -156,7 +171,7 @@ class WinoPlan
                          WinoWeights &dW);
 
     /**
-     * The WINOMC_FUSED decision a phase takes: fused under On, staged
+     * The WINOMC_FUSED decision a forward takes: fused under On, staged
      * under Off; under Auto fused once the staged forward slabs
      * overflow cache, except for a train-mode forward (whose slab the
      * backward reads anyway).
@@ -171,32 +186,13 @@ class WinoPlan
         return (grid.tiles() + stripT - 1) / stripT;
     }
 
-    // -----------------------------------------------------------------
-    // Phase access for MPT groups (mpt::MptConvLayer): scatterInput and
-    // transformGradOutput move into the Winograd domain (whole-grid,
-    // fp32), each group then runs the element-wise stage kernels on its
-    // uv slice of the plan-owned slabs, and the gathers move back. The
-    // slices partition the tile elements and every kernel assigns its
-    // slice, so no slab needs zeroing between passes.
-    // -----------------------------------------------------------------
-
-    /** Xt = B^T x B per tile (marks the input cache valid). */
-    void scatterInput(const Tensor &x);
-    /** dYt = A dy A^T per tile (marks the grad-output cache valid). */
-    void transformGradOutput(const Tensor &dy);
-    /** y = inverse transform of the output tiles. */
-    void gatherOutputInto(Tensor &y);
-    /** dx = overlap-add adjoint of the grad-input tiles. */
-    void gatherGradInputInto(Tensor &dx);
-
+    /** The fp32 input tiles of the last train-mode forward. */
     const WinoTiles &inputTiles() const;
+    /** The output tiles of the last staged train-mode forward. */
     const WinoTiles &outputTiles() const;
-    const WinoTiles &gradOutputTiles() const;
-    WinoTiles &outputTilesMutable() { return slab.out; }
-    WinoTiles &gradInputTilesMutable() { return gradSlab.in; }
 
     /** Drop cache-validity (e.g. when a pooled plan is re-leased). */
-    void invalidateCache() { haveInput = haveOutput = haveGrad = false; }
+    void invalidateCache() { haveInput = haveOutput = false; }
 
   private:
     /**
@@ -230,6 +226,19 @@ class WinoPlan
     void checkShapes(const Tensor &in, int inCh, const WinoWeights &W,
                      const Tensor &out, int outCh,
                      const char *what) const;
+    /** Dies unless `groups` MPT groups split alpha^2 evenly. */
+    void checkGroups(int groups) const;
+    /** Group g's share of r's tile elements, of `groups` groups. */
+    stage::TileRange groupSlice(const stage::TileRange &r, int groups,
+                                int g) const;
+
+    /** Xt = B^T x B per tile (marks the input cache valid). */
+    void scatterInput(const Tensor &x);
+    /** dYt = A dy A^T per tile. */
+    void transformGradOutput(const Tensor &dy);
+    /** dx = overlap-add adjoint of W^T dYt (dYt already transformed). */
+    void backwardDataFromSlab(const WinoWeights &W, Tensor &dx,
+                              int groups);
 
     /**
      * gather -> element-wise -> inverse over one tile range, with the
@@ -239,19 +248,14 @@ class WinoPlan
      */
     template <class Tiles, bool Masked>
     void forwardRange(const Tensor &x, const WinoWeights &W, Tensor &y,
-                      const stage::TileRange &r, TileSet &s);
-    /** The backward-data pipeline over one tile range (always fp32). */
-    void backwardDataRange(const Tensor &dy, const WinoWeights &W,
-                           Tensor &dx, const stage::TileRange &r,
-                           TileSet &s);
+                      const stage::TileRange &r, TileSet &s, int groups);
 
     /** The two schedules of forward(): whole grid into the slabs, or
      *  per strip into per-worker strip slots. */
-    void forwardStaged(const Tensor &x, const WinoWeights &W, Tensor &y);
-    void forwardFused(const Tensor &x, const WinoWeights &W, Tensor &y);
-    /** Per-strip backward data (dy re-gathered per strip). */
-    void backwardDataFused(const Tensor &dy, const WinoWeights &W,
-                           Tensor &dx);
+    void forwardStaged(const Tensor &x, const WinoWeights &W, Tensor &y,
+                       int groups);
+    void forwardFused(const Tensor &x, const WinoWeights &W, Tensor &y,
+                      int groups);
 
     /** Publish wino.<mode>.<phase> traffic counters + predicted gauge
      *  (no-op when metrics are disabled). Args are bytes, so streams
@@ -270,7 +274,7 @@ class WinoPlan
                                               const WinoWeights &,
                                               Tensor &,
                                               const stage::TileRange &,
-                                              TileSet &);
+                                              TileSet &, int);
     ForwardRangeFn fwdRange = nullptr; ///< forwardRange<...> of pol
     int halfKind = 0;       ///< mk::kHalf* encoding of a 16-bit pol
     bool fp32Input = true;  ///< forwards leave fp32 input tiles (Xt)
@@ -285,7 +289,6 @@ class WinoPlan
 
     bool haveInput = false;  ///< Xt holds the last forward's input
     bool haveOutput = false; ///< Yt holds the last forward's output
-    bool haveGrad = false;   ///< dYt holds the last backward's grads
 
     int stripT = 0; ///< tiles per fused strip (multiple of kTilePanel)
     /** Exact in-bounds input-gather elements per (image, channel)

@@ -5,7 +5,7 @@
  * One kernel family serves both schedules of a WinoPlan. The staged
  * pipeline calls each kernel once over the whole tile grid; the kernel
  * then fans out over the thread pool and emits its stage span and
- * throughput timer. The fused pipeline calls the same kernel per
+ * throughput timer. The fused forward calls the same kernels per
  * cache-sized strip of one image, serially, from inside the plan's own
  * strip loop. The arithmetic per element is the same either way (same
  * micro-kernels, blocking and summation order), so fused and staged
@@ -15,8 +15,8 @@
  * mask are template parameters: a plan picks the instantiation once,
  * from the ExecPolicy it captured, instead of branching per call.
  *
- * Internal to the winograd library and to mpt/, whose groups run the
- * element-wise kernels on their uv slices: the public stage API is
+ * Internal to the winograd library (WinoPlan runs MPT groups on the
+ * element-wise kernels' uv slices): the public stage API is
  * winograd/conv.hh.
  */
 

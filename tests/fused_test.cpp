@@ -263,6 +263,34 @@ TEST(FusedSteadyState, FusedPathAllocatesNothingAfterWarmup)
     }
 }
 
+TEST(FusedSteadyState, TrainingBackwardBuildsNoStripScratch)
+{
+    // Fusion is a forward schedule: the backward transforms dy once
+    // into the dYt slab, so a training step on a slab-overflowing shape
+    // (Auto would fuse its eval forward) keeps only the plan slabs.
+    KnobGuard guard;
+    setFusedMode(FusedMode::Auto);
+    const WinogradAlgo &algo = makeWinograd(4, 3);
+    const int B = 8, C = 32, HW = 32; // 2.4 MB slabs
+    Rng rng(41);
+    Tensor x(B, C, HW, HW);
+    Tensor dy(B, C, HW, HW);
+    Tensor w(C, C, 3, 3);
+    x.fillUniform(rng);
+    dy.fillUniform(rng);
+    w.fillUniform(rng);
+    const WinoWeights W = transformWeights(w, algo);
+    WinoPlan plan(algo, B, C, C, HW, HW);
+    ASSERT_TRUE(plan.shouldFuse(false));
+    Tensor y(B, C, HW, HW);
+    Tensor dx(B, C, HW, HW);
+    WinoWeights dW(algo.alpha, C, C);
+    plan.forward(x, W, y, true);
+    plan.backward(dy, W, dx, dW);
+    const WinoPlan fresh(algo, B, C, C, HW, HW);
+    EXPECT_EQ(plan.workspaceBytes(), fresh.workspaceBytes());
+}
+
 // ------------------------------------------------------ Layer wiring
 
 TEST(FusedConvLayer, TrainStepsBitwiseMatchStagedUnderForcedFusion)
@@ -341,7 +369,8 @@ TEST(FusedMptLayer, InferenceForwardMatchesCanonicalPipeline)
     Tensor y_ref = winogradForward(x, fused.winoWeights(), algo);
     EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f);
     // The staged MPT path runs the same stage kernels, so it is
-    // bitwise the canonical pipeline too (cf. FunctionalMptP).
+    // bitwise the canonical pipeline too (cf. Integration.
+    // MptConvLayerIsBitwiseTheSoloLayer).
     EXPECT_EQ(y.maxAbsDiff(y_staged), 0.0f);
 }
 
@@ -349,8 +378,9 @@ TEST(FusedMptLayer, GroupedTrainingIgnoresFusedRequest)
 {
     KnobGuard guard;
     WinogradAlgo algo = makeWinograd(2, 3);
-    // ng > 1 partial products need the plan slabs; WINOMC_FUSED=on
-    // must leave the grouped path (and its training step) intact.
+    // Grouped clusters run the plan's forward schedule too: under
+    // WINOMC_FUSED=on each strip's element-wise stage runs once per
+    // group, bitwise the staged grouped step.
     Rng rngA(31), rngB(31);
     mpt::MptConvLayer staged(3, 4, 3, 2, 2, algo, rngA);
     mpt::MptConvLayer fused(3, 4, 3, 2, 2, algo, rngB);

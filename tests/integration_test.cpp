@@ -2,11 +2,11 @@
  * @file
  * Cross-module integration tests.
  *
- * The central one: the functional MPT emulation (batch over clusters,
- * tile elements over groups, explicit scatter/gather and group
- * reductions) computes bitwise the same forward output and input
- * gradient as the single-worker reference for every (ng, nc)
- * organization, and the same weight gradient with one cluster (FP
+ * The central one: the MPT layer (batch over clusters, tile elements
+ * over groups, explicit scatter/gather and group reductions) computes
+ * bitwise the same forward output and input gradient as the
+ * single-worker Winograd layer for every (ng, nc) organization and
+ * execution policy, and the same weight update with one cluster (FP
  * reduction order apart with several) - the parallelization changes
  * the schedule, never the math. Plus end-to-end flows that tie the
  * simulators and the numerics together.
@@ -24,7 +24,6 @@
 #include "memnet/link_model.hh"
 #include "memnet/message_sim.hh"
 #include "mpt/comm_volume.hh"
-#include "mpt/functional.hh"
 #include "mpt/layer_sim.hh"
 #include "mpt/mpt_conv_layer.hh"
 #include "nn/basic_layers.hh"
@@ -34,6 +33,7 @@
 #include "noc/network.hh"
 #include "noc/topology.hh"
 #include "quant/predict.hh"
+#include "sparse_fixtures.hh"
 #include "winograd/microkernel.hh"
 #include "workloads/layers.hh"
 
@@ -51,75 +51,27 @@ namespace winomc {
 
 namespace {
 
-using mpt::runFunctionalMpt;
-using mpt::runReference;
-
 struct Org
 {
     int ng, nc;
 };
 
-class FunctionalMptP : public ::testing::TestWithParam<Org> {};
-
-TEST_P(FunctionalMptP, MatchesSingleWorkerReference)
-{
-    const auto org = GetParam();
-    const WinogradAlgo &algo = algoF2x2_3x3();
-    Rng rng(404);
-    const int B = 8, I = 3, J = 5, H = 10, Wd = 10;
-    Tensor x(B, I, H, Wd), dy(B, J, H, Wd);
-    x.fillUniform(rng);
-    dy.fillUniform(rng);
-    Tensor w(J, I, 3, 3);
-    w.fillKaiming(rng);
-    WinoWeights W = transformWeights(w, algo);
-
-    auto ref = runReference(x, dy, W, algo);
-    auto par = runFunctionalMpt(x, dy, W, algo, org.ng, org.nc);
-
-    // Every group runs the single-worker stage kernels on its uv
-    // slice, and each (uv, column) product is computed on its own: y
-    // and dx are bitwise the reference. dW is too with one cluster;
-    // with several, the cross-cluster sum reorders the reduction.
-    EXPECT_EQ(par.y.maxAbsDiff(ref.y), 0.0f);
-    EXPECT_EQ(par.dx.maxAbsDiff(ref.dx), 0.0f);
-    if (org.nc == 1)
-        EXPECT_EQ(par.dW.maxAbsDiff(ref.dW), 0.0f);
-    else
-        EXPECT_LT(par.dW.maxAbsDiff(ref.dW), 2e-3f);
-
-    // Data-parallel organization moves no tiles.
-    if (org.ng == 1)
-        EXPECT_EQ(par.tileElemsTransferred, 0u);
-    else
-        EXPECT_GT(par.tileElemsTransferred, 0u);
-    EXPECT_GT(par.weightElemsReduced, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Organizations, FunctionalMptP,
-    ::testing::Values(Org{1, 1}, Org{1, 8}, Org{16, 1}, Org{4, 2},
-                      Org{4, 8}, Org{16, 4}, Org{2, 4}, Org{8, 8}),
-    [](const ::testing::TestParamInfo<Org> &info) {
-        return "ng" + std::to_string(info.param.ng) + "nc" +
-               std::to_string(info.param.nc);
-    });
-
 TEST(FunctionalMpt, TileTrafficMatchesSectionIIICFormula)
 {
-    // The emulation's counted traffic must agree with the analytic
-    // volume formula used by the communication model.
+    // The MPT layer's counted traffic over one training step must
+    // agree with the analytic volume formula used by the communication
+    // model.
     const WinogradAlgo &algo = algoF2x2_3x3();
     Rng rng(7);
     const int B = 8, C = 4, H = 8;
     Tensor x(B, C, H, H), dy(B, C, H, H);
     x.fillUniform(rng);
     dy.fillUniform(rng);
-    Tensor w(C, C, 3, 3);
-    w.fillUniform(rng);
-    WinoWeights W = transformWeights(w, algo);
 
     const int ng = 4, nc = 2;
-    auto par = runFunctionalMpt(x, dy, W, algo, ng, nc);
+    mpt::MptConvLayer layer(C, C, 3, ng, nc, algo, rng);
+    layer.forward(x, true);
+    layer.backward(dy);
 
     // Per-worker analytic volume (elements, no prediction, both
     // directions and phases) times the worker count.
@@ -128,12 +80,12 @@ TEST(FunctionalMpt, TileTrafficMatchesSectionIIICFormula)
                                   memnet::ClusterShape{ng, nc}, nullptr);
     double analytic_elems = vol.tileBytes / 4.0 * ng * nc;
     // The 1D-predict line shrink (m/alpha on gathers) is a transfer
-    // representation detail the functional emulation doesn't model, so
-    // compare against the un-shrunk expectation.
+    // representation detail the layer doesn't model, so compare against
+    // the un-shrunk expectation.
     double gather_rep = double(algo.m) / algo.alpha;
     double unshrunk =
         analytic_elems * 2.0 / (1.0 + gather_rep);
-    EXPECT_NEAR(double(par.tileElemsTransferred), unshrunk,
+    EXPECT_NEAR(double(layer.tileElemsTransferred()), unshrunk,
                 0.02 * unshrunk);
 }
 
@@ -233,17 +185,21 @@ sameBits(const WinoWeights &a, const WinoWeights &b)
            std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)) == 0;
 }
 
-TEST(Integration, MptConvLayerIsBitwiseTheSoloLayer)
+// MPT changes the schedule, never the bits. The organization's forward
+// output and input gradient equal the single-worker Winograd-layer
+// ConvLayer's exactly, under either micro-kernel table, thread count
+// and fused mode. With one cluster the weight gradient and the SGD
+// update match too, so three steps stay in lockstep; with several, the
+// cross-cluster sum reorders the dW reduction, so one step (of the
+// three accumulated gradients) lands within lr * 2e-3 of the solo
+// layer's.
+void
+expectMptIsBitwiseTheSoloLayer(Org org)
 {
-    // MPT changes the schedule, never the bits. Every organization's
-    // forward output and input gradient equal the single-worker
-    // Winograd-layer ConvLayer's exactly, under either micro-kernel
-    // table, thread count and fused mode. With one cluster the weight
-    // gradient and the SGD update match too, so three steps stay in
-    // lockstep.
     ScheduleGuard guard;
     const WinogradAlgo &algo = algoF2x2_3x3(); // alpha^2 = 16
-    const int B = 4, I = 3, J = 5, H = 10, Wd = 9; // ragged tile grid
+    const int B = 8, I = 3, J = 5, H = 10, Wd = 9; // ragged tile grid
+    const float lr = 0.05f;
     Rng data(2024);
     std::vector<Tensor> xs, dys;
     for (int s = 0; s < 3; ++s) {
@@ -253,52 +209,108 @@ TEST(Integration, MptConvLayerIsBitwiseTheSoloLayer)
         dys.back().fillUniform(data);
     }
 
-    for (Org org : {Org{1, 1}, Org{1, 2}, Org{2, 2}, Org{4, 4},
-                    Org{16, 1}}) {
-        for (mk::Isa isa : {mk::Isa::Scalar, mk::Isa::Auto}) {
-            mk::setIsa(isa);
-            for (int threads : {1, 8}) {
-                ThreadPool::global().setThreadCount(threads);
-                for (FusedMode mode : {FusedMode::Off, FusedMode::On}) {
-                    setFusedMode(mode);
-                    Rng ra(77), rb(77);
-                    nn::ConvLayer solo(I, J, 3,
-                                       nn::ConvMode::WinogradLayer, algo,
-                                       ra);
-                    mpt::MptConvLayer mpt(I, J, 3, org.ng, org.nc, algo,
-                                          rb);
-                    const std::string where =
-                        "ng " + std::to_string(org.ng) + " nc " +
-                        std::to_string(org.nc) + " isa " +
-                        mk::isaName(isa) + " threads " +
-                        std::to_string(threads) + " fused " +
-                        fusedModeName(mode);
-                    ASSERT_TRUE(
+    for (mk::Isa isa : {mk::Isa::Scalar, mk::Isa::Auto}) {
+        mk::setIsa(isa);
+        for (int threads : {1, 8}) {
+            ThreadPool::global().setThreadCount(threads);
+            for (FusedMode mode : {FusedMode::Off, FusedMode::On}) {
+                setFusedMode(mode);
+                Rng ra(77), rb(77);
+                nn::ConvLayer solo(I, J, 3, nn::ConvMode::WinogradLayer,
+                                   algo, ra);
+                mpt::MptConvLayer mpt(I, J, 3, org.ng, org.nc, algo, rb);
+                const std::string where =
+                    "ng " + std::to_string(org.ng) + " nc " +
+                    std::to_string(org.nc) + " isa " + mk::isaName(isa) +
+                    " threads " + std::to_string(threads) + " fused " +
+                    fusedModeName(mode);
+                ASSERT_TRUE(sameBits(mpt.winoWeights(), solo.winoWeights()))
+                    << where;
+                for (int s = 0; s < 3; ++s) {
+                    const Tensor y = mpt.forward(xs[size_t(s)], true);
+                    const Tensor yRef = solo.forward(xs[size_t(s)], true);
+                    EXPECT_TRUE(sameBits(y, yRef))
+                        << where << " step " << s << " y";
+                    const Tensor dx = mpt.backward(dys[size_t(s)]);
+                    const Tensor dxRef = solo.backward(dys[size_t(s)]);
+                    EXPECT_TRUE(sameBits(dx, dxRef))
+                        << where << " step " << s << " dx";
+                    // Several clusters leave lockstep after a step, so
+                    // their weights stay fixed (the gradients
+                    // accumulate) until the one step below.
+                    if (org.nc != 1)
+                        continue;
+                    mpt.step(lr);
+                    solo.step(lr);
+                    EXPECT_TRUE(
                         sameBits(mpt.winoWeights(), solo.winoWeights()))
-                        << where;
-                    for (int s = 0; s < 3; ++s) {
-                        const Tensor y = mpt.forward(xs[size_t(s)], true);
-                        const Tensor yRef =
-                            solo.forward(xs[size_t(s)], true);
-                        EXPECT_TRUE(sameBits(y, yRef))
-                            << where << " step " << s << " y";
-                        const Tensor dx = mpt.backward(dys[size_t(s)]);
-                        const Tensor dxRef =
-                            solo.backward(dys[size_t(s)]);
-                        EXPECT_TRUE(sameBits(dx, dxRef))
-                            << where << " step " << s << " dx";
-                        // Several clusters sum dW in another order, so
-                        // their weights leave lockstep after a step;
-                        // keep them fixed (and the gradient unread).
-                        if (org.nc != 1)
-                            continue;
-                        mpt.step(0.05f);
-                        solo.step(0.05f);
-                        EXPECT_TRUE(sameBits(mpt.winoWeights(),
-                                             solo.winoWeights()))
-                            << where << " step " << s << " W";
-                    }
+                        << where << " step " << s << " W";
                 }
+                if (org.nc != 1) {
+                    mpt.step(lr);
+                    solo.step(lr);
+                    EXPECT_LT(
+                        mpt.winoWeights().maxAbsDiff(solo.winoWeights()),
+                        lr * 2e-3f)
+                        << where << " W";
+                }
+                // Data-parallel organizations move no tiles.
+                EXPECT_EQ(mpt.tileElemsTransferred() == 0, org.ng == 1)
+                    << where;
+                EXPECT_GT(mpt.weightElemsReduced(), 0u) << where;
+            }
+        }
+    }
+}
+
+TEST(Integration, MptConvLayerIsBitwiseTheSoloLayer)
+{
+    for (Org org : {Org{1, 2}, Org{2, 2}, Org{4, 4}})
+        expectMptIsBitwiseTheSoloLayer(org);
+}
+
+// The same oracle, one case per organization: pure data parallelism
+// (ng 1), pure tile-element parallelism (nc 1) and mixed ones, up to
+// every one of the alpha^2 = 16 elements on its own group.
+class FunctionalMptP : public ::testing::TestWithParam<Org> {};
+
+TEST_P(FunctionalMptP, MatchesSingleWorkerReference)
+{
+    expectMptIsBitwiseTheSoloLayer(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Organizations, FunctionalMptP,
+    ::testing::Values(Org{1, 1}, Org{1, 8}, Org{16, 1}, Org{4, 2},
+                      Org{4, 8}, Org{16, 4}, Org{2, 4}, Org{8, 8}),
+    [](const ::testing::TestParamInfo<Org> &info) {
+        return "ng" + std::to_string(info.param.ng) + "nc" +
+               std::to_string(info.param.nc);
+    });
+
+TEST(Integration, GroupedMptHonoursHalfPolicies)
+{
+    // Grouped clusters run the plan's own storage: under a 16-bit
+    // policy MPT's forward output is bitwise the solo layer's, for
+    // any group count and either forward schedule.
+    for (Prec prec : {Prec::Bf16, Prec::F16}) {
+        PolicyGuard guard;
+        setPrec(prec);
+        const WinogradAlgo &algo = algoF2x2_3x3(); // alpha^2 = 16
+        const int B = 4, I = 3, J = 5, H = 10, Wd = 9;
+        Rng data(99);
+        Tensor x(B, I, H, Wd);
+        x.fillUniform(data);
+        for (Org org : {Org{2, 1}, Org{4, 2}, Org{16, 1}}) {
+            for (FusedMode mode : {FusedMode::Off, FusedMode::On}) {
+                setFusedMode(mode);
+                Rng ra(77), rb(77);
+                nn::ConvLayer solo(I, J, 3, nn::ConvMode::WinogradLayer,
+                                   algo, ra);
+                mpt::MptConvLayer mpt(I, J, 3, org.ng, org.nc, algo, rb);
+                EXPECT_TRUE(sameBits(mpt.forward(x, true),
+                                     solo.forward(x, true)))
+                    << precName(prec) << " ng " << org.ng << " nc "
+                    << org.nc << " fused " << fusedModeName(mode);
             }
         }
     }

@@ -98,7 +98,8 @@ struct TrafficRow
 };
 
 /** Measured-vs-predicted DRAM traffic of one wino.<mode>.<phase>
- *  pipeline (staged/fused x fwd/bwd_data). */
+ *  pipeline: staged fwd, fused fwd and staged bwd_data (the backward
+ *  has no fused schedule). */
 struct WinoTrafficRow
 {
     double xformBytes = 0, ewBytes = 0, inverseBytes = 0;

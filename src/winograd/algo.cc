@@ -76,10 +76,4 @@ algoForTile(int m)
     return makeWinograd(m, 3);
 }
 
-const WinogradAlgo &
-algoF2_3()
-{
-    return makeWinograd(2, 3);
-}
-
 } // namespace winomc

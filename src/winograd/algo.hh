@@ -57,9 +57,6 @@ const WinogradAlgo &algoF2x2_5x5();
 /** F(6x6,3x3): alpha = 8, the largest tile the micro-kernel panel
  *  layout supports (mk::kMaxAlpha) — the auto-tuner's top candidate. */
 const WinogradAlgo &algoF6x6_3x3();
-/** 1D F(2,3): tile 4x1 (for 3x1 filters, Section VII-B). The 1D
- *  triple is the separable 2D one, so this is makeWinograd(2, 3). */
-const WinogradAlgo &algoF2_3();
 
 /**
  * The canonical F(m x m, 3 x 3) for tile edge m in {2, 4, 6} — the

@@ -747,14 +747,6 @@ transformWeightsAdjointInto(const WinoWeights &dW,
     });
 }
 
-Tensor
-transformWeightsAdjoint(const WinoWeights &dW, const WinogradAlgo &algo)
-{
-    Tensor dw(dW.outChannels(), dW.inChannels(), algo.r, algo.r);
-    transformWeightsAdjointInto(dW, algo, dw);
-    return dw;
-}
-
 WinoTiles
 elementwiseForward(const WinoTiles &X, const WinoWeights &W)
 {
@@ -814,29 +806,6 @@ winogradForward(const Tensor &x, const WinoWeights &W,
     Tensor y(x.n(), W.outChannels(), x.h(), x.w());
     plan.forward(x, W, y, false);
     return y;
-}
-
-Tensor
-winogradBackwardData(const Tensor &dy, const WinoWeights &W,
-                     const WinogradAlgo &algo, int h, int w)
-{
-    winomc_assert(dy.h() == h && dy.w() == w,
-                  "winogradBackwardData: \"same\" conv implies dy and dx "
-                  "share spatial size");
-    WinoPlan plan(algo, dy.n(), W.inChannels(), W.outChannels(), h, w);
-    Tensor dx(dy.n(), W.inChannels(), h, w);
-    plan.backwardDataInto(dy, W, dx);
-    return dx;
-}
-
-WinoWeights
-winogradGradWeights(const Tensor &x, const Tensor &dy,
-                    const WinogradAlgo &algo)
-{
-    WinoPlan plan(algo, x.n(), x.c(), dy.c(), x.h(), x.w());
-    WinoWeights dW(algo.alpha, dy.c(), x.c());
-    plan.gradWeightsInto(x, dy, dW);
-    return dW;
 }
 
 Tensor

@@ -11,6 +11,12 @@
  * All gradients are exact adjoints of the forward linear maps, verified
  * against numerical differentiation in the tests. Backward-data through
  * the adjoint equals the textbook "convolve dy with flipped weights".
+ *
+ * A layer's training step runs through an execution plan
+ * (winograd/plan.hh: a train-mode forward, then one backward for dx
+ * and dW). The value-returning stages below are the references the
+ * tests compare that route against and the rows the kernel benchmark
+ * times.
  */
 
 #ifndef WINOMC_WINOGRAD_CONV_HH
@@ -37,10 +43,6 @@ Tensor transformInputAdjoint(const WinoTiles &dX, const WinogradAlgo &algo,
 
 /** Spatial weights (J, I, r, r) -> Winograd weights W = G w G^T. */
 WinoWeights transformWeights(const Tensor &w, const WinogradAlgo &algo);
-
-/** Adjoint of transformWeights: dw = G^T dW G, (J, I, r, r). */
-Tensor transformWeightsAdjoint(const WinoWeights &dW,
-                               const WinogradAlgo &algo);
 
 /**
  * Element-wise dot products of Equation (2): per uv,
@@ -75,24 +77,17 @@ WinoTiles inverseTransformAdjoint(const Tensor &dy,
  */
 void transformWeightsInto(const Tensor &w, const WinogradAlgo &algo,
                           WinoWeights &out);
+/** Adjoint of transformWeights: dw = G^T dW G, into (J, I, r, r). */
 void transformWeightsAdjointInto(const WinoWeights &dW,
                                  const WinogradAlgo &algo, Tensor &dw);
 
 // ---------------------------------------------------------------------
-// High-level convenience wrappers (build a transient execution plan)
+// High-level convenience wrapper (builds a transient execution plan)
 // ---------------------------------------------------------------------
 
 /** y = winograd_conv(x, W); W already in the Winograd domain. */
 Tensor winogradForward(const Tensor &x, const WinoWeights &W,
                        const WinogradAlgo &algo);
-
-/** dx from dy through the Winograd pipeline adjoint. */
-Tensor winogradBackwardData(const Tensor &dy, const WinoWeights &W,
-                            const WinogradAlgo &algo, int h, int w);
-
-/** Winograd-layer weight gradient dW from x and dy. */
-WinoWeights winogradGradWeights(const Tensor &x, const Tensor &dy,
-                                const WinogradAlgo &algo);
 
 /** Reference direct convolution, "same", stride 1 (w: J, I, r, r). */
 Tensor directConvForward(const Tensor &x, const Tensor &w);

@@ -192,12 +192,11 @@ predictedTrafficBytes(const ConvSpec &spec, const WinogradAlgo &algo,
             toBytes(tilesIn + spec.inputElems() + 2 * inGather);
         break;
       case Phase::UpdateGrad:
-        // Staged only: both transforms stream their slabs, the dot
-        // products re-read them against a weight-sized output.
-        tp.xformBytes =
-            toBytes(inGather + tilesIn + dyGather + tilesOut);
+        // The training backward's weight gradient: it re-reads the Xt
+        // slab of the forward and the dYt slab of Bprop (whose
+        // transforms those phases already count) against a
+        // weight-sized output, so it has no transform of its own.
         tp.ewBytes = toBytes(tilesIn + tilesOut + winoW);
-        tp.inverseBytes = 0;
         break;
     }
     return tp;

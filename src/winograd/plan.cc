@@ -344,8 +344,12 @@ WinoPlan::forward(const Tensor &x, const WinoWeights &W, Tensor &y,
     }
     // The backward's weight-gradient product reads fp32 input tiles
     // (identical however the forward ran).
-    if (!haveInput)
-        scatterInput(x);
+    if (!haveInput) {
+        stage::gather<WinoTiles, false>(TileMap(Side::Input, alg, grid), x,
+                                        TileRange::whole(nb, grid.tiles()),
+                                        slab.in);
+        haveInput = true;
+    }
 }
 
 void
@@ -423,84 +427,42 @@ WinoPlan::backward(const Tensor &dy, const WinoWeights &W, Tensor &dx,
                   "the input tiles are stale");
     checkShapes(dy, nj, W, dx, ni, "backward");
     checkGroups(groups);
-    transformGradOutput(dy);
     const TileRange whole = TileRange::whole(nb, grid.tiles());
+    // dYt = A dy A^T per tile, read by both products.
+    stage::gather<WinoTiles, false>(TileMap(Side::OutputAdjoint, alg, grid),
+                                    dy, whole, gradSlab.out);
     for (int g = 0; g < groups; ++g)
         stage::ewGradWeights(gradSlab.out, slab.in,
                              groupSlice(whole, groups, g), dW);
-    backwardDataFromSlab(W, dx, groups);
-}
-
-void
-WinoPlan::backwardDataInto(const Tensor &dy, const WinoWeights &W,
-                           Tensor &dx)
-{
-    checkShapes(dy, nj, W, dx, ni, "backwardDataInto");
-    WINOMC_SPAN("wino.phase.bwd_data", "wino");
-    transformGradOutput(dy);
-    backwardDataFromSlab(W, dx, 1);
+    for (int g = 0; g < groups; ++g)
+        stage::ewBackwardData(gradSlab.out, W, groupSlice(whole, groups, g),
+                              gradSlab.in);
+    stage::scatter(TileMap(Side::InputAdjoint, alg, grid), gradSlab.in,
+                   whole, dx);
     if (metrics::enabled()) {
         const ConvSpec spec{"plan", nb, ni, nj, fh, fw, alg.r};
         const double outPlane = double(nb) * nj * fh * fw;
         const double inPlane = double(nb) * ni * fh * fw;
         const double addSweep = double(gatherElemsA) * nb * ni;
         const double f = double(sizeof(float));
+        const double xt = double(slab.in.size());
         const double dyt = double(gradSlab.out.size());
         const double dxt = double(gradSlab.in.size());
+        // The dy transform is charged to bwd_data; grad_weights only
+        // streams the two slabs the transforms already wrote.
         publishTraffic(
             "staged", "bwd_data", (outPlane + dyt) * f,
             (dyt + double(W.size()) + dxt) * f,
             (dxt + inPlane + 2.0 * addSweep) * f,
             double(predictedTrafficBytes(spec, alg, Phase::Bprop, false)
                        .totalBytes()));
+        publishTraffic(
+            "staged", "grad_weights", 0.0,
+            (dyt + xt + double(dW.size())) * f, 0.0,
+            double(predictedTrafficBytes(spec, alg, Phase::UpdateGrad,
+                                         false)
+                       .totalBytes()));
     }
-}
-
-void
-WinoPlan::backwardDataFromSlab(const WinoWeights &W, Tensor &dx,
-                               int groups)
-{
-    const TileRange whole = TileRange::whole(nb, grid.tiles());
-    for (int g = 0; g < groups; ++g)
-        stage::ewBackwardData(gradSlab.out, W, groupSlice(whole, groups, g),
-                              gradSlab.in);
-    stage::scatter(TileMap(Side::InputAdjoint, alg, grid), gradSlab.in,
-                   whole, dx);
-}
-
-void
-WinoPlan::gradWeightsInto(const Tensor &x, const Tensor &dy,
-                          WinoWeights &dW)
-{
-    WINOMC_SPAN("wino.phase.grad_weights", "wino");
-    scatterInput(x);
-    transformGradOutput(dy);
-    stage::ewGradWeights(gradSlab.out, slab.in,
-                         TileRange::whole(nb, grid.tiles()), dW);
-}
-
-void
-WinoPlan::transformGradOutput(const Tensor &dy)
-{
-    stage::gather<WinoTiles, false>(TileMap(Side::OutputAdjoint, alg, grid),
-                                    dy, TileRange::whole(nb, grid.tiles()),
-                                    gradSlab.out);
-}
-
-void
-WinoPlan::scatterInput(const Tensor &x)
-{
-    stage::gather<WinoTiles, false>(TileMap(Side::Input, alg, grid), x,
-                                    TileRange::whole(nb, grid.tiles()),
-                                    slab.in);
-    haveInput = true;
-}
-
-const WinoTiles &
-WinoPlan::inputTiles() const
-{
-    winomc_assert(haveInput, "input tiles not populated");
-    return slab.in;
 }
 
 const WinoTiles &

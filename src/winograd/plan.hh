@@ -62,8 +62,8 @@ struct TileRange;
 /**
  * WINOMC_FUSED knob: picks the forward's schedule, the staged pipeline
  * (full slabs between stages) or the fused tile-strip pipeline
- * (§4.11). Backwards are always staged. Only WinoPlan reads it
- * (WinoPlan::shouldFuse).
+ * (§4.11). Backwards are always staged. Only WinoPlan reads it, inside
+ * forward().
  *
  *  - Off:  always staged.
  *  - Auto: fused when the plan's shape qualifies (slabs overflow cache,
@@ -125,11 +125,13 @@ class WinoPlan
     std::size_t workspaceBytes() const;
 
     // -----------------------------------------------------------------
-    // Layer execution. The plan alone decides, per call, whether a
-    // forward runs staged (whole-grid slabs between stages) or fused
-    // (per cache-resident tile strip, slabs bypassed; §4.11): see
-    // shouldFuse(). Both schedules are bitwise identical at every ISA
-    // level and for any thread count, so callers never branch on it.
+    // Layer execution: forward(), backward() and invalidateCache() are
+    // the whole route; one-shot phases are a train-mode forward plus
+    // backward. The plan alone decides, per call, whether a forward
+    // runs staged (whole-grid slabs between stages) or fused (per
+    // cache-resident tile strip, slabs bypassed; §4.11). Both schedules
+    // are bitwise identical at every ISA level and for any thread
+    // count, so callers never branch on it.
     //
     // `groups` is the MPT group count N_g (it must divide alpha^2):
     // with s = alpha^2 / groups, group g owns tile elements
@@ -157,26 +159,13 @@ class WinoPlan
      * transformed once into the dYt slab, then dW (assigned, not
      * accumulated) from the cached input tiles and dYt, and dx through
      * the pipeline adjoint of dYt. Dies when the last forward was not a
-     * train-mode one.
+     * train-mode one. With metrics on it publishes the traffic of both
+     * products: wino.staged.bwd_data.* (the dy transform included) and
+     * wino.staged.grad_weights.* (the Xt and dYt reads plus the dW
+     * write; no transform or inverse bytes of its own).
      */
     void backward(const Tensor &dy, const WinoWeights &W, Tensor &dx,
                   WinoWeights &dW, int groups = 1);
-
-    /** dx from dy through the pipeline adjoint (one-shot: no cached
-     *  state used); the backward-data half of backward(). */
-    void backwardDataInto(const Tensor &dy, const WinoWeights &W,
-                          Tensor &dx);
-    /** dW (assigned, not accumulated) from x and dy (one-shot). */
-    void gradWeightsInto(const Tensor &x, const Tensor &dy,
-                         WinoWeights &dW);
-
-    /**
-     * The WINOMC_FUSED decision a forward takes: fused under On, staged
-     * under Off; under Auto fused once the staged forward slabs
-     * overflow cache, except for a train-mode forward (whose slab the
-     * backward reads anyway).
-     */
-    bool shouldFuse(bool train) const;
 
     /** Tiles per strip (multiple of mk::kTilePanel). */
     int stripTiles() const { return stripT; }
@@ -186,8 +175,6 @@ class WinoPlan
         return (grid.tiles() + stripT - 1) / stripT;
     }
 
-    /** The fp32 input tiles of the last train-mode forward. */
-    const WinoTiles &inputTiles() const;
     /** The output tiles of the last staged train-mode forward. */
     const WinoTiles &outputTiles() const;
 
@@ -195,6 +182,14 @@ class WinoPlan
     void invalidateCache() { haveInput = haveOutput = false; }
 
   private:
+    /**
+     * The WINOMC_FUSED decision a forward takes: fused under On, staged
+     * under Off; under Auto fused once the staged forward slabs
+     * overflow cache, except for a train-mode forward (whose slab the
+     * backward reads anyway).
+     */
+    bool shouldFuse(bool train) const;
+
     /**
      * The Winograd-domain tiles one pipeline range runs through: an
      * input side (I channels) and an output side (J channels). The
@@ -231,14 +226,6 @@ class WinoPlan
     /** Group g's share of r's tile elements, of `groups` groups. */
     stage::TileRange groupSlice(const stage::TileRange &r, int groups,
                                 int g) const;
-
-    /** Xt = B^T x B per tile (marks the input cache valid). */
-    void scatterInput(const Tensor &x);
-    /** dYt = A dy A^T per tile. */
-    void transformGradOutput(const Tensor &dy);
-    /** dx = overlap-add adjoint of W^T dYt (dYt already transformed). */
-    void backwardDataFromSlab(const WinoWeights &W, Tensor &dx,
-                              int groups);
 
     /**
      * gather -> element-wise -> inverse over one tile range, with the

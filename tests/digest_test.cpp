@@ -140,18 +140,11 @@ runRoute(bool fused)
         Tensor y(s.batch, s.out_ch, s.h, s.w);
         Tensor dx(s.batch, s.in_ch, s.h, s.w);
         WinoWeights dW(algo.alpha, s.out_ch, s.in_ch);
-        // The plan picks its schedule from the process-wide mode.
+        // The plan picks its forward's schedule from the process-wide
+        // mode; the training backward is the same on both routes.
         setFusedMode(fused ? FusedMode::On : FusedMode::Off);
-        if (fused) {
-            // The fused training route of a layer: fused forward (which
-            // gathers the fp32 input tiles) and fused backward.
-            plan.forward(x, W, y, true);
-            plan.backward(dy, W, dx, dW);
-        } else {
-            plan.forward(x, W, y, false);
-            plan.backwardDataInto(dy, W, dx);
-            plan.gradWeightsInto(x, dy, dW);
-        }
+        plan.forward(x, W, y, true);
+        plan.backward(dy, W, dx, dW);
         d.y = fnv1a(d.y, y.data(), y.size() * sizeof(float));
         d.dx = fnv1a(d.dx, dx.data(), dx.size() * sizeof(float));
         d.dW = fnv1a(d.dW, dW.raw(), dW.size() * sizeof(float));

@@ -1,10 +1,11 @@
 /**
  * @file
  * Fused tile-strip pipeline tests (§4.11): fused-vs-staged bitwise
- * parity over odd shapes / N=1 / C!=K / grids both smaller and larger
- * than one strip, at 1-vs-8 threads and under scalar + auto ISA
- * dispatch; WINOMC_FUSED knob parsing and the Auto heuristic; zero
- * fresh workspace bytes in fused steady state; and the layer wirings
+ * parity of a training step (y, dx and dW) over odd shapes / N=1 /
+ * C!=K / grids both smaller and larger than one strip, at 1-vs-8
+ * threads and under scalar + auto ISA dispatch; WINOMC_FUSED knob
+ * parsing and the Auto heuristic; zero fresh workspace bytes in fused
+ * steady state; and the layer wirings
  * (ConvLayer train-mode under WINOMC_FUSED=on, MptConvLayer fused
  * inference forward).
  *
@@ -17,6 +18,8 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
@@ -96,29 +99,51 @@ TEST(FusedKnob, ModeNamesRoundTrip)
 
 // ----------------------------------------------------- Auto heuristic
 
+/**
+ * Did one forward of a fresh (B, C -> C, HW x HW) plan run fused under
+ * the current mode? Only the fused schedule builds per-worker strip
+ * scratch, so its plan outgrows a plan that never ran.
+ */
+bool
+forwardFuses(const WinogradAlgo &algo, int B, int C, int HW, bool train)
+{
+    Rng rng(5);
+    Tensor x(B, C, HW, HW);
+    Tensor w(C, C, 3, 3);
+    x.fillUniform(rng);
+    w.fillUniform(rng);
+    const WinoWeights W = transformWeights(w, algo);
+    WinoPlan plan(algo, B, C, C, HW, HW);
+    Tensor y(B, C, HW, HW);
+    plan.forward(x, W, y, train);
+    const WinoPlan fresh(algo, B, C, C, HW, HW);
+    return plan.workspaceBytes() > fresh.workspaceBytes();
+}
+
 TEST(FusedHeuristic, OffNeverFusesOnAlwaysFuses)
 {
     KnobGuard guard;
-    WinogradAlgo algo = makeWinograd(2, 3);
-    WinoPlan plan(algo, 1, 2, 2, 8, 8);
+    const WinogradAlgo &algo = makeWinograd(2, 3);
     setFusedMode(FusedMode::Off);
-    EXPECT_FALSE(plan.shouldFuse(false));
-    EXPECT_FALSE(plan.shouldFuse(true));
+    EXPECT_FALSE(forwardFuses(algo, 1, 2, 8, false));
+    EXPECT_FALSE(forwardFuses(algo, 1, 2, 8, true));
     setFusedMode(FusedMode::On);
-    EXPECT_TRUE(plan.shouldFuse(false));
-    EXPECT_TRUE(plan.shouldFuse(true)); // explicit on overrides caches
+    EXPECT_TRUE(forwardFuses(algo, 1, 2, 8, false));
+    // Explicit on overrides the tile caches.
+    EXPECT_TRUE(forwardFuses(algo, 1, 2, 8, true));
 }
 
 TEST(FusedHeuristic, AutoFusesLargeSlabsButPreservesTileCaches)
 {
     KnobGuard guard;
     setFusedMode(FusedMode::Auto);
-    WinogradAlgo algo = makeWinograd(2, 3);
-    WinoPlan small(algo, 1, 2, 2, 8, 8); // slabs are a few KiB
-    EXPECT_FALSE(small.shouldFuse(false));
-    WinoPlan big(algo, 4, 32, 32, 64, 64); // slabs are tens of MiB
-    EXPECT_TRUE(big.shouldFuse(false));
-    EXPECT_FALSE(big.shouldFuse(true)); // caller needs the tile caches
+    const WinogradAlgo &algo = makeWinograd(2, 3);
+    // Slabs of a few KiB stay staged.
+    EXPECT_FALSE(forwardFuses(algo, 1, 2, 8, false));
+    // Slabs of tens of MiB fuse, except for a train-mode forward,
+    // whose backward reads the tile caches.
+    EXPECT_TRUE(forwardFuses(algo, 4, 32, 64, false));
+    EXPECT_FALSE(forwardFuses(algo, 4, 32, 64, true));
 }
 
 TEST(FusedStrips, GeometryCoversTheGridInWholePanels)
@@ -164,36 +189,40 @@ TEST_P(FusedParityP, BitwiseMatchesStagedForAnyThreadCountAndIsa)
         WinoPlan plan(algo, p.batch, p.in_ch, p.out_ch, p.h, p.w);
         Tensor y_ref(p.batch, p.out_ch, p.h, p.w);
         Tensor dx_ref(p.batch, p.in_ch, p.h, p.w);
+        WinoWeights dW_ref(algo.alpha, p.out_ch, p.in_ch);
         setFusedMode(FusedMode::Off);
-        plan.forward(x, W, y_ref, false);
-        plan.backwardDataInto(dy, W, dx_ref);
+        plan.forward(x, W, y_ref, true);
+        plan.backward(dy, W, dx_ref, dW_ref);
 
         Tensor y(p.batch, p.out_ch, p.h, p.w);
         Tensor dx(p.batch, p.in_ch, p.h, p.w);
+        WinoWeights dW(algo.alpha, p.out_ch, p.in_ch);
         setFusedMode(FusedMode::On);
         for (int threads : {1, 8}) {
             ThreadPool::global().setThreadCount(threads);
             // Twice per thread count: the second pass reuses warm
             // strip scratch and must still be bitwise identical.
             for (int pass = 0; pass < 2; ++pass) {
-                y.fill(-1.0f); // poison: every element must be stored
+                // Poison: every element must be stored.
+                y.fill(-1.0f);
                 dx.fill(-1.0f);
-                plan.forward(x, W, y, false);
-                plan.backwardDataInto(dy, W, dx);
+                std::fill(dW.raw(), dW.raw() + dW.size(), -1.0f);
+                plan.forward(x, W, y, true);
+                plan.backward(dy, W, dx, dW);
                 EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f)
                     << "isa " << mk::isaName(isa) << " threads "
                     << threads;
                 EXPECT_EQ(dx.maxAbsDiff(dx_ref), 0.0f)
                     << "isa " << mk::isaName(isa) << " threads "
                     << threads;
+                EXPECT_EQ(dW.maxAbsDiff(dW_ref), 0.0f)
+                    << "isa " << mk::isaName(isa) << " threads "
+                    << threads;
             }
         }
 
-        // The free wrappers dispatch through the same plans.
+        // The free wrapper dispatches through the same plans.
         EXPECT_EQ(winogradForward(x, W, algo).maxAbsDiff(y_ref), 0.0f);
-        EXPECT_EQ(winogradBackwardData(dy, W, algo, p.h, p.w)
-                      .maxAbsDiff(dx_ref),
-                  0.0f);
         setFusedMode(FusedMode::Auto);
     }
 }
@@ -243,16 +272,17 @@ TEST(FusedSteadyState, FusedPathAllocatesNothingAfterWarmup)
     WinoPlan plan(algo, 2, 8, 8, 16, 16);
     Tensor y(2, 8, 16, 16);
     Tensor dx(2, 8, 16, 16);
+    WinoWeights dW(algo.alpha, 8, 8);
     for (int threads : {1, 8}) {
         ThreadPool::global().setThreadCount(threads);
         // Warm-up builds the per-worker strip slots at this
         // concurrency and primes the workspace pool.
-        plan.forward(x, W, y, false);
-        plan.backwardDataInto(dy, W, dx);
+        plan.forward(x, W, y, true);
+        plan.backward(dy, W, dx, dW);
         const auto s0 = ws::Workspace::global().stats();
         for (int i = 0; i < 10; ++i) {
-            plan.forward(x, W, y, false);
-            plan.backwardDataInto(dy, W, dx);
+            plan.forward(x, W, y, true);
+            plan.backward(dy, W, dx, dW);
         }
         const auto s1 = ws::Workspace::global().stats();
         EXPECT_EQ(s1.freshAllocs, s0.freshAllocs)
@@ -280,8 +310,8 @@ TEST(FusedSteadyState, TrainingBackwardBuildsNoStripScratch)
     dy.fillUniform(rng);
     w.fillUniform(rng);
     const WinoWeights W = transformWeights(w, algo);
+    ASSERT_TRUE(forwardFuses(algo, B, C, HW, false));
     WinoPlan plan(algo, B, C, C, HW, HW);
-    ASSERT_TRUE(plan.shouldFuse(false));
     Tensor y(B, C, HW, HW);
     Tensor dx(B, C, HW, HW);
     WinoWeights dW(algo.alpha, C, C);

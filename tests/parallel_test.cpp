@@ -320,7 +320,8 @@ runAllKernels(const ParityShape &s, const WinogradAlgo &algo)
     o.dX = elementwiseBackwardData(o.dY, o.W);
     o.dx = transformInputAdjoint(o.dX, algo, s.hw, s.hw);
     o.dW = elementwiseGradWeights(o.dY, o.X);
-    o.dw = transformWeightsAdjoint(o.dW, algo);
+    o.dw = Tensor(s.chOut, s.chIn, 3, 3);
+    transformWeightsAdjointInto(o.dW, algo, o.dw);
     o.directY = directConvForward(x, w);
     o.directDx = directConvBackwardData(dy, w);
     o.directDw = directConvGradWeights(x, dy, 3);
@@ -372,7 +373,8 @@ TEST_P(ThreadParity, KernelsBitwiseIdenticalAcrossThreadCounts)
     expectTilesEqual(serial.dX, threaded.dX, "elementwiseBackwardData");
     expectTensorsEqual(serial.dx, threaded.dx, "transformInputAdjoint");
     expectWeightsEqual(serial.dW, threaded.dW, "elementwiseGradWeights");
-    expectTensorsEqual(serial.dw, threaded.dw, "transformWeightsAdjoint");
+    expectTensorsEqual(serial.dw, threaded.dw,
+                       "transformWeightsAdjointInto");
     expectTensorsEqual(serial.directY, threaded.directY,
                        "directConvForward");
     expectTensorsEqual(serial.directDx, threaded.directDx,

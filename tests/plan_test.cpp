@@ -4,14 +4,17 @@
  * WINOMC_WORKSPACE_LIMIT_MB parsing and budget enforcement, plan-vs-
  * stage-pipeline bitwise parity (odd shapes, 1-vs-8 threads), zero
  * steady-state allocation across training steps for every ConvMode and
- * the MPT layer, and the backward-after-eval-forward stale-cache
- * regression.
+ * the MPT layer, the training backward's traffic counters, and the
+ * backward-after-eval-forward stale-cache regression.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 
+#include "common/metrics.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "mpt/mpt_conv_layer.hh"
@@ -172,21 +175,15 @@ TEST_P(PlanParityP, BitwiseMatchesStagePipelineForAnyThreadCount)
         // Twice through the same plan: the second pass runs on dirty
         // slabs and must still be bitwise identical.
         for (int pass = 0; pass < 2; ++pass) {
-            plan.forward(x, W, y, false);
-            plan.backwardDataInto(dy, W, dx);
-            plan.gradWeightsInto(x, dy, dW);
+            plan.forward(x, W, y, true);
+            plan.backward(dy, W, dx, dW);
             EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f);
             EXPECT_EQ(dx.maxAbsDiff(dx_ref), 0.0f);
             EXPECT_EQ(dW.maxAbsDiff(dW_ref), 0.0f);
         }
 
-        // Free wrappers route through transient plans.
+        // The free wrapper routes through a transient plan.
         EXPECT_EQ(winogradForward(x, W, algo).maxAbsDiff(y_ref), 0.0f);
-        EXPECT_EQ(winogradBackwardData(dy, W, algo, p.h, p.w)
-                      .maxAbsDiff(dx_ref),
-                  0.0f);
-        EXPECT_EQ(winogradGradWeights(x, dy, algo).maxAbsDiff(dW_ref),
-                  0.0f);
 
         if (threads == 1) {
             y1 = y;
@@ -212,6 +209,58 @@ INSTANTIATE_TEST_SUITE_P(Shapes, PlanParityP,
                "h" + std::to_string(p.h) + "w" + std::to_string(p.w) +
                "F" + std::to_string(p.m) + "r" + std::to_string(p.r);
     });
+
+// ------------------------------------------------ Backward traffic
+
+TEST(PlanTraffic, TrainingBackwardPublishesBothProducts)
+{
+    // B=2, 3->4 channels, 8x8, F(2,3): a 4x4 grid of 4x4 tiles, so
+    // dYt = 2048, dXt = 1536, Xt = 1536 and W = 192 elements, and the
+    // in-bounds input gather is 14 * 14 = 196 elements per plane.
+    const WinogradAlgo &algo = makeWinograd(2, 3);
+    const int B = 2, I = 3, J = 4, H = 8;
+    Rng rng(29);
+    Tensor x(B, I, H, H);
+    Tensor dy(B, J, H, H);
+    Tensor w(J, I, 3, 3);
+    x.fillUniform(rng);
+    dy.fillUniform(rng);
+    w.fillUniform(rng);
+    const WinoWeights W = transformWeights(w, algo);
+    Tensor y(B, J, H, H);
+    Tensor dx(B, I, H, H);
+    WinoWeights dW(algo.alpha, J, I);
+
+    const bool wasEnabled = metrics::enabled();
+    metrics::setEnabled(true);
+    metrics::reset();
+    WinoPlan plan(algo, B, I, J, H, H);
+    plan.forward(x, W, y, true);
+    plan.backward(dy, W, dx, dW);
+    std::map<std::string, double> got;
+    for (const auto &s : metrics::snapshot())
+        got[s.name] = s.value;
+    metrics::reset();
+    metrics::setEnabled(wasEnabled);
+
+    EXPECT_EQ(got["wino.staged.bwd_data.calls"], 1.0);
+    EXPECT_EQ(got["wino.staged.grad_weights.calls"], 1.0);
+    // bwd_data: dy read + dYt write; dYt, W reads + dXt write; dXt
+    // read, dx zero-fill and the overlap-add read+write sweep.
+    EXPECT_EQ(got["wino.staged.bwd_data.xform_bytes"], (512 + 2048) * 4.0);
+    EXPECT_EQ(got["wino.staged.bwd_data.ew_bytes"],
+              (2048 + 192 + 1536) * 4.0);
+    EXPECT_EQ(got["wino.staged.bwd_data.inverse_bytes"],
+              (1536 + 384 + 2 * 196 * B * I) * 4.0);
+    EXPECT_EQ(got["wino.staged.bwd_data.bytes_moved"], 42432.0);
+    // grad_weights: dYt and Xt reads plus the dW write, nothing else.
+    EXPECT_EQ(got["wino.staged.grad_weights.xform_bytes"], 0.0);
+    EXPECT_EQ(got["wino.staged.grad_weights.inverse_bytes"], 0.0);
+    EXPECT_EQ(got["wino.staged.grad_weights.bytes_moved"],
+              (2048 + 1536 + 192) * 4.0);
+    EXPECT_EQ(got["wino.staged.grad_weights.bytes_moved"],
+              got["wino.staged.grad_weights.predicted_bytes"]);
+}
 
 TEST(ConvLayerPlan, AllModesBitwiseMatchReferenceAcrossSteps)
 {

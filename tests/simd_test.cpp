@@ -26,6 +26,7 @@
 #include "winograd/algo.hh"
 #include "winograd/conv.hh"
 #include "winograd/microkernel.hh"
+#include "train_step.hh"
 
 using namespace winomc;
 
@@ -377,18 +378,16 @@ TEST_F(SimdTest, PipelineMatchesScalarWithinTolOnOddShapes)
             dy.fillUniform(rng);
 
             mk::setIsa(mk::Isa::Scalar);
-            WinoWeights Ws = transformWeights(w, *algo);
-            Tensor yS = winogradForward(x, Ws, *algo);
-            Tensor dxS = winogradBackwardData(dy, Ws, *algo, s.hw,
-                                              s.hw);
-            WinoWeights gS = winogradGradWeights(x, dy, *algo);
+            const TrainStep S =
+                trainStep(x, transformWeights(w, *algo), dy, *algo);
+            const Tensor &yS = S.y, &dxS = S.dx;
+            const WinoWeights &gS = S.dW;
 
             mk::setIsa(mk::Isa::Auto);
-            WinoWeights Wv = transformWeights(w, *algo);
-            Tensor yV = winogradForward(x, Wv, *algo);
-            Tensor dxV = winogradBackwardData(dy, Wv, *algo, s.hw,
-                                              s.hw);
-            WinoWeights gV = winogradGradWeights(x, dy, *algo);
+            const TrainStep V =
+                trainStep(x, transformWeights(w, *algo), dy, *algo);
+            const Tensor &yV = V.y, &dxV = V.dx;
+            const WinoWeights &gV = V.dW;
 
             // Larger tiles are worse conditioned: F(6,3)'s transform
             // matrices amplify reassociation + FMA noise by orders of
@@ -453,21 +452,18 @@ TEST_F(SimdTest, PipelineBitwiseInvariantAcrossThreadCountsPerIsa)
         WinoWeights W = transformWeights(w, algo);
 
         ThreadPool::global().setThreadCount(1);
-        Tensor y1 = winogradForward(x, W, algo);
-        Tensor dx1 = winogradBackwardData(dy, W, algo, 13, 13);
-        WinoWeights g1 = winogradGradWeights(x, dy, algo);
-
+        const TrainStep s1 = trainStep(x, W, dy, algo);
         ThreadPool::global().setThreadCount(8);
-        Tensor y8 = winogradForward(x, W, algo);
-        Tensor dx8 = winogradBackwardData(dy, W, algo, 13, 13);
-        WinoWeights g8 = winogradGradWeights(x, dy, algo);
+        const TrainStep s8 = trainStep(x, W, dy, algo);
 
-        EXPECT_EQ(0, std::memcmp(y1.data(), y8.data(), y1.size() * 4))
+        EXPECT_EQ(0, std::memcmp(s1.y.data(), s8.y.data(),
+                                 s1.y.size() * 4))
             << mk::isaName(isa);
-        EXPECT_EQ(0,
-                  std::memcmp(dx1.data(), dx8.data(), dx1.size() * 4))
+        EXPECT_EQ(0, std::memcmp(s1.dx.data(), s8.dx.data(),
+                                 s1.dx.size() * 4))
             << mk::isaName(isa);
-        EXPECT_EQ(0, std::memcmp(g1.raw(), g8.raw(), g1.size() * 4))
+        EXPECT_EQ(0, std::memcmp(s1.dW.raw(), s8.dW.raw(),
+                                 s1.dW.size() * 4))
             << mk::isaName(isa);
     }
 }

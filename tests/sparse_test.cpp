@@ -313,9 +313,8 @@ TEST_P(SparseParityP, SparseForwardBitwiseEqualsDense)
             Tensor dx_ref(p.batch, p.in_ch, p.h, p.w);
             WinoWeights dW_ref(algo.alpha, p.out_ch, p.in_ch);
             setFusedMode(FusedMode::Off);
-            dense.forward(x, W, y_ref, false);
-            dense.backwardDataInto(dy, W, dx_ref);
-            dense.gradWeightsInto(x, dy, dW_ref);
+            dense.forward(x, W, y_ref, true);
+            dense.backward(dy, W, dx_ref, dW_ref);
             Tensor yf_ref(p.batch, p.out_ch, p.h, p.w);
             setFusedMode(FusedMode::On);
             dense.forward(x, W, yf_ref, false);
@@ -335,9 +334,8 @@ TEST_P(SparseParityP, SparseForwardBitwiseEqualsDense)
             // (rebuilt) activation mask.
             setFusedMode(FusedMode::Off);
             for (int pass = 0; pass < 2; ++pass) {
-                sparse.forward(x, W, y, false);
-                sparse.backwardDataInto(dy, W, dx);
-                sparse.gradWeightsInto(x, dy, dW);
+                sparse.forward(x, W, y, true);
+                sparse.backward(dy, W, dx, dW);
                 EXPECT_EQ(y.maxAbsDiff(y_ref), 0.0f)
                     << "isa " << int(isa) << " threads " << threads;
                 EXPECT_EQ(dx.maxAbsDiff(dx_ref), 0.0f);
@@ -393,8 +391,13 @@ TEST_P(HalfPrecP, ForwardWithinDocumentedBoundsAndFusedBitwise)
     Tensor w(p.out_ch, p.in_ch, 3, 3);
     w.fillKaiming(rng);
     const WinoWeights W = transformWeights(w, algo);
+    Tensor dy(p.batch, p.out_ch, p.h, p.w);
+    dy.fillUniform(rng);
 
-    const WinoTiles Xref = transformInput(x, algo);
+    // The fp32 weight gradient: the backward stays full fp32 under
+    // every policy.
+    const WinoWeights dWref = elementwiseGradWeights(
+        inverseTransformAdjoint(dy, algo), transformInput(x, algo));
     Tensor y_ref(p.batch, p.out_ch, p.h, p.w);
     setFusedMode(FusedMode::Off);
     {
@@ -434,15 +437,18 @@ TEST_P(HalfPrecP, ForwardWithinDocumentedBoundsAndFusedBitwise)
                 << precName(b.prec) << " sparse=" << sp;
             // A half-policy forward bypasses the fp32 input slab, so a
             // train-mode one gathers the fp32 tiles its backward reads:
-            // exactly the fp32 transform of x, staged or fused.
+            // exactly the fp32 transform of x, staged or fused, so dW
+            // is bitwise the fp32 one.
+            Tensor dx(p.batch, p.in_ch, p.h, p.w);
+            WinoWeights dW(algo.alpha, p.out_ch, p.in_ch);
             for (FusedMode mode : {FusedMode::Off, FusedMode::On}) {
                 setFusedMode(mode);
                 plan.forward(x, W, yf, true);
                 EXPECT_EQ(yf.maxAbsDiff(y), 0.0f);
-                ASSERT_EQ(plan.inputTiles().size(), Xref.size());
-                EXPECT_EQ(0, std::memcmp(plan.inputTiles().row(0, 0),
-                                         Xref.row(0, 0),
-                                         Xref.size() * sizeof(float)))
+                plan.backward(dy, W, dx, dW);
+                ASSERT_EQ(dW.size(), dWref.size());
+                EXPECT_EQ(0, std::memcmp(dW.raw(), dWref.raw(),
+                                         dWref.size() * sizeof(float)))
                     << precName(b.prec) << " sparse=" << sp << " mode "
                     << fusedModeName(mode);
             }

@@ -14,12 +14,12 @@
 #include "common/rng.hh"
 #include "winograd/algo.hh"
 #include "winograd/conv.hh"
-#include "winograd/conv1d.hh"
 #include "winograd/cost.hh"
 #include "winograd/lowprec.hh"
 #include "winograd/plan.hh"
 #include "winograd/rational.hh"
 #include "winograd/toom_cook.hh"
+#include "train_step.hh"
 
 namespace winomc {
 
@@ -232,12 +232,14 @@ TEST_P(WinogradConvP, BackwardDataMatchesDirect)
     Rng rng(43);
     Tensor dy(p.batch, p.out_ch, p.h, p.w);
     Tensor w(p.out_ch, p.in_ch, p.r, p.r);
+    Tensor x(p.batch, p.in_ch, p.h, p.w); // dx does not depend on x
     dy.fillUniform(rng);
     w.fillUniform(rng);
+    x.fillUniform(rng);
 
     Tensor ref = directConvBackwardData(dy, w);
     WinoWeights W = transformWeights(w, algo);
-    Tensor got = winogradBackwardData(dy, W, algo, p.h, p.w);
+    Tensor got = trainStep(x, W, dy, algo).dx;
 
     ASSERT_TRUE(got.sameShape(ref));
     EXPECT_LT(got.maxAbsDiff(ref), 1e-3f * std::max(1.0f, ref.absMax()));
@@ -250,15 +252,19 @@ TEST_P(WinogradConvP, SpatialWeightGradientMatchesDirect)
     Rng rng(44);
     Tensor x(p.batch, p.in_ch, p.h, p.w);
     Tensor dy(p.batch, p.out_ch, p.h, p.w);
+    Tensor w(p.out_ch, p.in_ch, p.r, p.r); // dW does not depend on w
     x.fillUniform(rng);
     dy.fillUniform(rng);
+    w.fillUniform(rng);
 
     Tensor ref = directConvGradWeights(x, dy, p.r);
     // Winograd-domain gradient mapped back through the weight-transform
     // adjoint must equal the spatial gradient (chain rule through
     // W = G w G^T).
-    WinoWeights dW = winogradGradWeights(x, dy, algo);
-    Tensor got = transformWeightsAdjoint(dW, algo);
+    const WinoWeights dW =
+        trainStep(x, transformWeights(w, algo), dy, algo).dW;
+    Tensor got(p.out_ch, p.in_ch, p.r, p.r);
+    transformWeightsAdjointInto(dW, algo, got);
 
     ASSERT_TRUE(got.sameShape(ref));
     float scale = std::max(1.0f, ref.absMax());
@@ -344,8 +350,9 @@ TEST(WinogradInputGrad, MatchesNumericalGradient)
     w.fillUniform(rng);
     WinoWeights W = transformWeights(w, algo);
 
+    // dL/dx with dy = y.
     Tensor y = winogradForward(x, W, algo);
-    Tensor dx = winogradBackwardData(y, W, algo, H, Wd);
+    Tensor dx = trainStep(x, W, y, algo).dx;
 
     auto loss = [&](const Tensor &xt) {
         Tensor yy = winogradForward(xt, W, algo);
@@ -460,59 +467,6 @@ TEST(WinogradDomainJoin, CommutesWithInverseTransform)
     sa *= 1.0f / 3.0f;
 
     EXPECT_LT(wino_path.maxAbsDiff(sa), 1e-5f);
-}
-
-// ------------------------------------------------------- 1D convolution
-
-struct Conv1dCase
-{
-    int batch, in_ch, out_ch, h, w, m, r;
-};
-
-class Winograd1dP : public ::testing::TestWithParam<Conv1dCase> {};
-
-TEST_P(Winograd1dP, MatchesDirect1d)
-{
-    const auto p = GetParam();
-    WinogradAlgo algo = makeWinograd(p.m, p.r);
-    Rng rng(77);
-    Tensor x(p.batch, p.in_ch, p.h, p.w);
-    Tensor w(p.out_ch, p.in_ch, p.r, 1);
-    x.fillUniform(rng);
-    w.fillUniform(rng);
-
-    Tensor ref = directConv1dForward(x, w);
-    Tensor got = winograd1dForward(x, w, algo);
-    ASSERT_TRUE(got.sameShape(ref));
-    EXPECT_LT(got.maxAbsDiff(ref), 1e-4f * std::max(1.0f, ref.absMax()));
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, Winograd1dP,
-    ::testing::Values(
-        Conv1dCase{1, 1, 1, 4, 3, 2, 3},   // F(2,3): the 4x1 tile of
-                                           // Section VII-B
-        Conv1dCase{2, 3, 4, 9, 5, 2, 3},   // ragged rows
-        Conv1dCase{1, 2, 2, 12, 4, 4, 3},  // F(4,3) 1D
-        Conv1dCase{2, 2, 3, 11, 3, 2, 5}), // F(2,5) 1D
-    [](const ::testing::TestParamInfo<Conv1dCase> &info) {
-        const auto &p = info.param;
-        return "b" + std::to_string(p.batch) + "h" + std::to_string(p.h) +
-               "F" + std::to_string(p.m) + "r" + std::to_string(p.r);
-    });
-
-TEST(Winograd1d, SingleTapIdentity)
-{
-    // r=1 degenerates: F(m,1) convolution is a per-channel scale.
-    WinogradAlgo algo = makeWinograd(2, 1);
-    Rng rng(5);
-    Tensor x(1, 1, 6, 3);
-    x.fillUniform(rng);
-    Tensor w(1, 1, 1, 1);
-    w.at(0, 0, 0, 0) = 2.5f;
-    Tensor y = winograd1dForward(x, w, algo);
-    for (int i = 0; i < 6; ++i)
-        for (int j = 0; j < 3; ++j)
-            EXPECT_NEAR(y.at(0, 0, i, j), 2.5f * x.at(0, 0, i, j), 1e-5f);
 }
 
 // ------------------------------------------------------------- Cost model

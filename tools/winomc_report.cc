@@ -98,8 +98,10 @@ struct TrafficRow
 };
 
 /** Measured-vs-predicted DRAM traffic of one wino.<mode>.<phase>
- *  pipeline: staged fwd, fused fwd and staged bwd_data (the backward
- *  has no fused schedule). */
+ *  pipeline: staged fwd and fused fwd, then the training backward's
+ *  staged bwd_data and grad_weights (the backward has no fused
+ *  schedule; grad_weights only streams the slabs the other phases'
+ *  transforms wrote, so it has ew bytes alone). */
 struct WinoTrafficRow
 {
     double xformBytes = 0, ewBytes = 0, inverseBytes = 0;
